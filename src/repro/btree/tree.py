@@ -26,12 +26,17 @@ import bisect
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.btree.node import (
-    ENTRY_SIZE,
-    HEADER_SIZE,
     MAX_KEY,
     MIN_KEY,
     NO_NODE,
     Node,
+    _insert_entry,
+    _keys,
+    _node_from_header,
+    _read_header,
+    _remove_entry,
+    _value_at,
+    _values,
     node_capacity,
 )
 from repro.errors import IndexError_, UniqueViolationError
@@ -42,6 +47,8 @@ from repro.storage.buffer import BufferPool
 DEFAULT_FILL_FACTOR = 0.9
 
 Entry = Tuple[int, int]
+#: ``(page_id, page bytes)`` of one node as a descent saw it
+Visit = Tuple[int, bytes]
 
 
 class BLinkTree:
@@ -85,6 +92,11 @@ class BLinkTree:
         with self.pool.pin(page_id) as pinned:
             return Node.unpack_from(page_id, pinned.data)
 
+    def _visit(self, page_id: int) -> bytes:
+        """The page's bytes, read under one pin exactly as ``_read``."""
+        with self.pool.pin(page_id) as pinned:
+            return bytes(pinned.data)
+
     def _write(self, node: Node) -> None:
         with self.pool.pin(node.page_id) as pinned:
             node.pack_into(pinned.data)
@@ -107,32 +119,33 @@ class BLinkTree:
     # ------------------------------------------------------------------
     # traversal
     # ------------------------------------------------------------------
-    def _route(self, inner: Node, key: int) -> int:
-        """Child page id an operation on ``key`` must descend into.
+    def _descend(self, key: int) -> List[Visit]:
+        """Root-to-leaf trail for ``key`` (each step is one page access).
 
         Separators are the minimum keys of their subtrees, and a split
         may leave copies of one key on both sides of a separator equal
-        to it.  Descending therefore starts at the last child whose
+        to it.  Descending therefore enters the last child whose
         separator is *strictly below* the key (that child's range is
         inclusive of the next separator) and lookups continue rightward
-        along the sibling chain when needed.
+        along the sibling chain when needed.  Routing bisects the page
+        bytes; no node is decoded.
         """
-        keys = inner.keys()
-        idx = max(0, bisect.bisect_left(keys, key) - 1)
-        return inner.entries[idx][1]
-
-    def _descend(self, key: int) -> List[Node]:
-        """Root-to-leaf path for ``key`` (each step is one page access)."""
-        path: List[Node] = []
-        node = self._read(self.root_id)
-        path.append(node)
-        while not node.is_leaf:
-            node = self._read(self._route(node, key))
-            path.append(node)
-        return path
+        trail: List[Visit] = []
+        page_id = self.root_id
+        while True:
+            data = self._visit(page_id)
+            trail.append((page_id, data))
+            level, _, count, _, _, _, _ = _read_header(page_id, data)
+            if level == 0:
+                return trail
+            if count == 0:
+                raise IndexError_(f"inner node {page_id} is empty")
+            idx = bisect.bisect_left(_keys(data, count), key)
+            page_id = _value_at(data, idx - 1 if idx else 0)
 
     def find_leaf(self, key: int) -> Node:
-        return self._descend(key)[-1]
+        page_id, data = self._descend(key)[-1]
+        return Node.unpack_from(page_id, data)
 
     # ------------------------------------------------------------------
     # lookups
@@ -145,18 +158,20 @@ class BLinkTree:
         duplicate keys (and keys sitting on a split boundary) may span
         several leaves.
         """
-        node = self.find_leaf(key)
+        page_id, data = self._descend(key)[-1]
         values: List[int] = []
         while True:
-            keys = node.keys()
+            _, _, count, _, _, _, right_id = _read_header(page_id, data)
+            keys = _keys(data, count)
             lo = bisect.bisect_left(keys, key)
-            hi = bisect.bisect_right(keys, key)
-            values.extend(value for _, value in node.entries[lo:hi])
-            if node.right_id == NO_NODE:
+            hi = bisect.bisect_right(keys, key, lo)
+            values.extend(_value_at(data, idx) for idx in range(lo, hi))
+            if right_id == NO_NODE:
                 break
-            if node.entries and node.last_key() > key:
+            if count and keys[count - 1] > key:
                 break
-            node = self._read(node.right_id)
+            page_id = right_id
+            data = self._visit(page_id)
         return values
 
     def search_one(self, key: int) -> Optional[int]:
@@ -190,22 +205,37 @@ class BLinkTree:
     # insert
     # ------------------------------------------------------------------
     def insert(self, key: int, value: int) -> None:
-        """Insert one entry, splitting on the way up as needed."""
-        path = self._descend(key)
-        leaf = path[-1]
+        """Insert one entry, splitting on the way up as needed.
+
+        Without a split the entry is shifted into the leaf page in
+        place; a split decodes the leaf and, level by level, only the
+        ancestors it has to update.
+        """
+        trail = self._descend(key)
+        leaf_id, data = trail[-1]
         if self.unique and self.contains(key):
             raise UniqueViolationError(
                 f"duplicate key {key} in unique index {self.name}"
             )
-        bisect.insort(leaf.entries, (key, value))
+        header = _read_header(leaf_id, data)
+        count = header[2]
+        # Where bisect.insort would put (key, value) in the decoded list.
+        keys = _keys(data, count)
+        lo = bisect.bisect_left(keys, key)
+        hi = bisect.bisect_right(keys, key, lo)
+        pos = bisect.bisect_right(_values(data, count), value, lo, hi)
         self._entry_count += 1
-        if leaf.entry_count > self.capacity_for(leaf):
-            self._split(path)
+        if count + 1 > self.leaf_capacity:
+            leaf = Node.unpack_from(leaf_id, data)
+            leaf.entries.insert(pos, (key, value))
+            self._split(leaf, trail[:-1])
         else:
-            self._write(leaf)
+            with self.pool.pin(leaf_id) as pinned:
+                _insert_entry(pinned.data, header, pos, key, value)
+                pinned.mark_dirty()
 
-    def _split(self, path: List[Node]) -> None:
-        node = path[-1]
+    def _split(self, node: Node, ancestors: List[Visit]) -> None:
+        """Split the overfull ``node``; ``ancestors`` is its descent trail."""
         mid = node.entry_count // 2
         sibling = self._allocate_node(node.level)
         sibling.entries = node.entries[mid:]
@@ -222,7 +252,7 @@ class BLinkTree:
         self._write(node)
         self._write(sibling)
         separator = (sibling.first_key(), sibling.page_id)
-        if len(path) == 1:
+        if not ancestors:
             # The split node was the root: grow the tree by one level.
             new_root = self._allocate_node(node.level + 1)
             new_root.entries = [
@@ -233,7 +263,7 @@ class BLinkTree:
             self.root_id = new_root.page_id
             self.height += 1
             return
-        parent = path[-2]
+        parent = Node.unpack_from(*ancestors[-1])
         for pos, (sep, child) in enumerate(parent.entries):
             if child == node.page_id:
                 # Child 0 may carry a stale-high separator (it absorbs
@@ -250,7 +280,7 @@ class BLinkTree:
                 f"{parent.page_id}"
             )
         if parent.entry_count > self.capacity_for(parent):
-            self._split(path[:-1])
+            self._split(parent, ancestors[:-1])
         else:
             self._write(parent)
 
@@ -266,69 +296,73 @@ class BLinkTree:
         boundaries and duplicate runs), so the search continues
         rightward along the chain; free-at-empty then locates the
         emptied leaf\'s true ancestor chain by walking each level of the
-        descended path rightward (the B-link property).
+        descended path rightward (the B-link property).  Unless the
+        leaf empties, the entry is shifted out of the page in place.
         """
-        path = self._descend(key)
-        node = path[-1]
+        trail = self._descend(key)
+        page_id, data = trail[-1]
         while True:
-            idx = self._find_entry(node, key, value)
-            if idx is not None:
-                del node.entries[idx]
+            header = _read_header(page_id, data)
+            _, _, count, _, _, _, right_id = header
+            keys = _keys(data, count)
+            lo = bisect.bisect_left(keys, key)
+            hi = bisect.bisect_right(keys, key, lo)
+            idx = lo
+            if value is not None:
+                idx = bisect.bisect_left(_values(data, count), value, lo, hi)
+            if idx < hi and (value is None or _value_at(data, idx) == value):
                 self._entry_count -= 1
-                if node.entry_count == 0 and self.height > 1:
-                    self._free_empty_leaf(self._true_path(node, path))
+                if count == 1 and self.height > 1:
+                    leaf = _node_from_header(page_id, header, [])
+                    ancestors = self._true_ancestors(leaf, trail)
+                    self._free_empty_leaf(leaf, ancestors)
                 else:
-                    self._write(node)
+                    with self.pool.pin(page_id) as pinned:
+                        _remove_entry(pinned.data, header, idx)
+                        pinned.mark_dirty()
                 return True
-            if node.right_id == NO_NODE:
+            if right_id == NO_NODE:
                 return False
-            if node.entries and node.last_key() > key:
+            if count and keys[count - 1] > key:
                 return False
-            node = self._read(node.right_id)
+            page_id = right_id
+            data = self._visit(page_id)
 
-    def _true_path(self, leaf: Node, approx_path: List[Node]) -> List[Node]:
-        """Root-to-``leaf`` path when ``leaf`` lies at or right of the
-        descended path\'s leaf.
+    def _true_ancestors(self, leaf: Node, trail: List[Visit]) -> List[Visit]:
+        """Root-to-parent trail of ``leaf`` when ``leaf`` lies at or right
+        of the descended trail\'s leaf.
 
         Every true ancestor of ``leaf`` sits at-or-right of the
-        corresponding node on the descended path, so each level is found
-        by walking its sibling chain rightward — the classic B-link
-        move-right, applied bottom-up.
+        corresponding node on the descended trail, so each level is
+        found by walking its sibling chain rightward — the classic
+        B-link move-right, applied bottom-up.
         """
-        if approx_path[-1].page_id == leaf.page_id:
-            return approx_path[:-1] + [leaf]
-        chain: List[Node] = [leaf]
-        for depth in range(len(approx_path) - 2, -1, -1):
-            child_pid = chain[0].page_id
-            node = approx_path[depth]
+        if trail[-1][0] == leaf.page_id:
+            return trail[:-1]
+        chain: List[Visit] = []
+        child_pid = leaf.page_id
+        for depth in range(len(trail) - 2, -1, -1):
+            visit = trail[depth]
+            node = Node.unpack_from(*visit)
             while not any(pid == child_pid for _, pid in node.entries):
                 if node.right_id == NO_NODE:  # pragma: no cover
                     raise IndexError_(
                         f"node {child_pid} unreachable from level "
                         f"{node.level}"
                     )
-                node = self._read(node.right_id)
-            chain.insert(0, node)
+                visit = (node.right_id, self._visit(node.right_id))
+                node = Node.unpack_from(*visit)
+            chain.insert(0, visit)
+            child_pid = node.page_id
         return chain
 
-    @staticmethod
-    def _find_entry(node: Node, key: int, value: Optional[int]) -> Optional[int]:
-        keys = node.keys()
-        lo = bisect.bisect_left(keys, key)
-        hi = bisect.bisect_right(keys, key)
-        for idx in range(lo, hi):
-            if value is None or node.entries[idx][1] == value:
-                return idx
-        return None
-
-    def _free_empty_leaf(self, path: List[Node]) -> None:
+    def _free_empty_leaf(self, node: Node, ancestors: List[Visit]) -> None:
         """Free-at-empty: reclaim an empty node and fix parents."""
-        node = path[-1]
         self._unlink_from_chain(node)
         if node.page_id == self.first_leaf_id:
             self.first_leaf_id = node.right_id
         self._free_node(node.page_id)
-        self._remove_child(path[:-1], node.page_id)
+        self._remove_child(ancestors, node.page_id)
         self._maybe_collapse_root()
 
     def _unlink_from_chain(self, node: Node) -> None:
@@ -342,8 +376,8 @@ class BLinkTree:
             right.left_id = node.left_id
             self._write(right)
 
-    def _remove_child(self, path: List[Node], child_id: int) -> None:
-        parent = path[-1]
+    def _remove_child(self, ancestors: List[Visit], child_id: int) -> None:
+        parent = Node.unpack_from(*ancestors[-1])
         for idx, (_, pid) in enumerate(parent.entries):
             if pid == child_id:
                 del parent.entries[idx]
@@ -352,10 +386,10 @@ class BLinkTree:
             raise IndexError_(
                 f"child {child_id} not found in parent {parent.page_id}"
             )
-        if parent.entry_count == 0 and len(path) > 1:
+        if parent.entry_count == 0 and len(ancestors) > 1:
             self._unlink_from_chain(parent)
             self._free_node(parent.page_id)
-            self._remove_child(path[:-1], parent.page_id)
+            self._remove_child(ancestors[:-1], parent.page_id)
         else:
             self._write(parent)
 
@@ -470,9 +504,9 @@ class BLinkTree:
         """Leaf page ids in key order (via the sibling chain)."""
         page_id = self.first_leaf_id
         while page_id != NO_NODE:
-            node = self._read(page_id)
+            right_id = _read_header(page_id, self._visit(page_id))[6]
             yield page_id
-            page_id = node.right_id
+            page_id = right_id
 
     def read_leaf(self, page_id: int) -> Node:
         node = self._read(page_id)
@@ -483,12 +517,10 @@ class BLinkTree:
     def write_leaf_entries(self, page_id: int, entries: List[Entry]) -> None:
         """Replace a leaf's entries in place (bulk-delete edit)."""
         with self.pool.pin(page_id) as pinned:
-            node = Node.unpack_from(page_id, pinned.data)
-            removed = node.entry_count - len(entries)
-            node.entries = entries
-            node.pack_into(pinned.data)
+            header = _read_header(page_id, pinned.data)
+            _node_from_header(page_id, header, entries).pack_into(pinned.data)
             pinned.mark_dirty()
-        self._entry_count -= removed
+        self._entry_count -= header[2] - len(entries)
 
     def unlink_and_free_leaves(self, page_ids: Sequence[int]) -> None:
         """Free leaves emptied by a sweep (free-at-empty, deferred).

@@ -415,7 +415,7 @@ def erase_traces(
     # 3. B-trees: zero node slack beyond the live entry region — a
     #    leaf edit rewrites header + entries and leaves the old tail
     #    bytes (deleted keys and RIDs) in place past the entry count.
-    from repro.btree.node import ENTRY_SIZE, HEADER_SIZE, Node
+    from repro.btree.node import ENTRY_SIZE, HEADER_SIZE, _read_header
 
     for table_name in heap_tables:
         table = db.table(table_name)
@@ -424,8 +424,8 @@ def erase_traces(
                 continue
             for page_id in ix.tree._collect_pages():  # type: ignore[union-attr]
                 with db.pool.pin(page_id) as pinned:
-                    node_view = Node.unpack_from(page_id, pinned.data)
-                    live_end = HEADER_SIZE + ENTRY_SIZE * node_view.entry_count
+                    count = _read_header(page_id, pinned.data)[2]
+                    live_end = HEADER_SIZE + ENTRY_SIZE * count
                     if any(pinned.data[live_end:]):
                         pinned.data[live_end:] = bytes(
                             len(pinned.data) - live_end

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.btree.maintenance import validate_tree
-from repro.btree.node import MAX_KEY, MIN_KEY
+from repro.btree.node import MAX_KEY, MIN_KEY, Node, node_capacity
 from repro.btree.tree import BLinkTree
 from repro.errors import IndexError_, UniqueViolationError
 from repro.storage.buffer import BufferPool
@@ -150,6 +150,25 @@ def test_extreme_keys(tree):
     assert tree.search_one(MIN_KEY) == 1
     assert tree.search_one(MAX_KEY) == 2
     validate_tree(tree)
+
+
+def test_oversize_entry_count_rejected(tree):
+    """A header claiming more entries than the page can hold is refused
+    with an error naming the page, by decoding and by in-place probes."""
+    fill(tree, [1, 2, 3])
+    leaf_id = tree.root_id
+    too_many = node_capacity(tree.pool.disk.page_size) + 1
+    with tree.pool.pin(leaf_id) as pinned:
+        pinned.data[2:4] = too_many.to_bytes(2, "little")
+        pinned.mark_dirty()
+        page = bytes(pinned.data)
+    expected = f"node page {leaf_id} claims {too_many} entries"
+    with pytest.raises(IndexError_, match=expected):
+        Node.unpack_from(leaf_id, page)
+    with pytest.raises(IndexError_, match=expected):
+        tree.search(2)
+    with pytest.raises(IndexError_, match=expected):
+        tree.delete(2)
 
 
 def test_interleaved_insert_delete(tree):
