@@ -329,11 +329,19 @@ def _emit_sweep(args: argparse.Namespace, kind: str, report: object) -> int:
     return 0
 
 
+def _point_limit(text: str) -> int:
+    """``--max-points``: a sweep of zero points would pass vacuously."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer of at least 1, got {text!r}"
+        )
+    return int(text)
+
+
 def _cmd_faultsweep(args: argparse.Namespace) -> int:
     import dataclasses
 
-    from repro.faults import crash_point_sweep
-    from repro.faults.sweep import SweepScenario
+    from repro.faults.sweep import SweepScenario, crash_point_sweep
 
     verbose = print if args.verbose and args.format != "json" else None
 
@@ -411,7 +419,7 @@ def _cmd_faultsweep(args: argparse.Namespace) -> int:
     report = crash_point_sweep(
         scenario=scenario,
         max_points=args.max_points,
-        double_crash=not args.no_double,
+        double_samples=None if args.no_double else 2,
         torn_writes=args.torn,
         wal_tail=args.wal_tail,
         log_fn=verbose,
@@ -1273,7 +1281,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="crash the recovery scenario at every durable event and "
         "assert the recovered state matches the fault-free oracle",
     )
-    p_sweep.add_argument("--max-points", type=int, default=None,
+    p_sweep.add_argument("--max-points", type=_point_limit, default=None,
                          help="bound the sweep to K evenly spaced crash "
                          "points (default: every durable event)")
     p_sweep.add_argument("--records", type=int, default=48,
@@ -1368,7 +1376,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "assert the statement self-heals to the fault-free oracle or "
         "aborts typed and clean",
     )
-    p_media.add_argument("--max-points", type=int, default=None,
+    p_media.add_argument("--max-points", type=_point_limit, default=None,
                          help="bound the sweep to K evenly sampled "
                          "pages per fault kind (default: every page)")
     p_media.add_argument("--records", type=int, default=48,

@@ -25,13 +25,22 @@ lost tail record, or recovery abandoned it before any modification),
 the sweep re-issues the statement — that is the client's contract, not
 a recovery failure — but only when the recovered state is bit-identical
 to the pre-statement state; anything else is reported as a failure.
+
+One driver, :func:`sweep_crash_points`, runs every crash sweep (heap,
+LSM, shard, retention) and shares its pass 0, :func:`oracle_pass`, with
+:func:`repro.media.sweep.sweep_media_pages`.  A sweep target supplies
+the hooks ``sweep_case``, ``sweep_state``, ``sweep_statements``,
+``oracle_problems``, ``crash_plan`` and ``recover_point`` (plus
+``media_point`` for media sweeps); docs/fault_injection.md, "One sweep
+driver", says what each does.  :class:`HeapSweep` is the heap
+scenario's target; the other scenarios carry their hooks themselves.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.btree.maintenance import validate_tree
 from repro.catalog.database import Database
@@ -41,9 +50,11 @@ from repro.core.integrity import (
     OnDelete,
     find_referencing_keys,
 )
-from repro.errors import ReproError
+from repro.errors import MediaError, QuarantinedPage, ReproError
 from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultPlan, SimulatedCrash
+from repro.faults.plan import STUCK, FaultPlan, SimulatedCrash
+from repro.media.retry import MediaRecovery, wal_image_source
+from repro.media.scrub import require_scrubbed, scrub_database
 from repro.recovery.restart import (
     RecoverableBulkDelete,
     UserWrite,
@@ -52,9 +63,14 @@ from repro.recovery.restart import (
 )
 from repro.recovery.wal import WriteAheadLog
 
+if TYPE_CHECKING:
+    from repro.media.sweep import MediaPointOutcome
+
 #: ``capture_state``'s per-table value: (sorted rows, heap record
 #: count, {index name: (sorted entries, entry_count)}).
 TableState = Tuple[list, int, Dict[str, Tuple[list, int]]]
+#: ``capture_state``'s value.
+DbState = Dict[str, TableState]
 
 
 @dataclass(frozen=True)
@@ -215,9 +231,9 @@ class SweepCase:
     traffic_order: List[UserWrite] = field(default_factory=list)
 
 
-def capture_state(db: Database) -> Dict[str, TableState]:
+def capture_state(db: Database) -> DbState:
     """Logical content of every table + every B-tree index."""
-    state: Dict[str, TableState] = {}
+    state: DbState = {}
     for table in db.catalog.tables():
         if table.is_sharded:
             # A sharded logical entry owns no pages of its own; its
@@ -235,7 +251,7 @@ def capture_state(db: Database) -> Dict[str, TableState]:
     return state
 
 
-def logical_state(state: Dict[str, TableState]) -> Dict[str, object]:
+def logical_state(state: DbState) -> Dict[str, object]:
     """RID-independent view of a captured state.
 
     With concurrent traffic, replayed or topped-up inserts may land at
@@ -289,7 +305,16 @@ def integrity_problems(
     deleted_keys: Optional[List[int]] = None,
     limit: int = 20,
 ) -> List[str]:
-    """Internal-consistency violations, independent of any oracle."""
+    """Internal-consistency violations, independent of any oracle.
+
+    Every heap table's record count must match its scan, and each of
+    its B-tree indexes must validate, reconcile its entry count and
+    hold exactly one entry per heap row.  Given ``registry`` and
+    ``deleted_keys``, no foreign key may still reference a deleted
+    parent key (a SET NULL child must have nulled it).  Sharded logical
+    entries and LSM tables own no heap or index of their own and are
+    skipped; each shard is a catalog table of its own.
+    """
     problems: List[str] = []
 
     def note(message: str) -> None:
@@ -297,9 +322,7 @@ def integrity_problems(
             problems.append(message)
 
     for table in db.catalog.tables():
-        if table.is_sharded:
-            # Checked shard by shard: the logical entry's empty heap
-            # would otherwise be compared against the chained scan.
+        if table.is_sharded or table.lsm is not None:
             continue
         table_name = table.schema.name
         actual = list(db.scan(table_name))
@@ -308,7 +331,6 @@ def integrity_problems(
                 f"{table_name}: heap record_count "
                 f"{table.heap.record_count} != {len(actual)} scanned rows"
             )
-        expected_by_index: Dict[str, list] = {}
         for name, ix in sorted(table.indexes.items()):
             if not ix.is_btree:
                 continue
@@ -327,7 +349,6 @@ def integrity_problems(
                 (ix.key_for(values, table.schema), rid.pack())
                 for rid, values in actual
             )
-            expected_by_index[name] = expected
             if sorted(items) != expected:
                 note(
                     f"{table_name}.{name}: {len(items)} entries do not "
@@ -337,9 +358,12 @@ def integrity_problems(
         for fk in registry.all_constraints():
             refs = find_referencing_keys(db, fk, deleted_keys)
             if refs:
+                nulled = (
+                    "un-nulled " if fk.on_delete is OnDelete.SET_NULL else ""
+                )
                 note(
-                    f"fk {fk.child_table}.{fk.child_column}: "
-                    f"{len(refs)} references to deleted parent keys"
+                    f"fk {fk.describe()}: {len(refs)} {nulled}references "
+                    "to deleted parent keys"
                 )
     return problems
 
@@ -391,74 +415,73 @@ class SweepReport:
         return "\n".join(lines)
 
 
-def crash_point_sweep(
-    scenario: Optional[SweepScenario] = None,
-    max_points: Optional[int] = None,
-    double_crash: bool = True,
-    double_samples: int = 2,
-    torn_writes: bool = False,
-    wal_tail: str = "keep",
-    full_page_writes: Optional[bool] = None,
-    log_fn: Optional[Callable[[str], None]] = None,
-) -> SweepReport:
-    """Sweep a crash over every (or ``max_points`` evenly spaced)
-    durable event of the scenario's bulk delete.
+@dataclass
+class SweepOracle:
+    """What the fault-free pass 0 of a sweep established."""
 
-    ``wal_tail`` shapes the crash when it lands on a WAL append:
-    ``"keep"`` (the force completed), ``"drop"`` (it never did) or
-    ``"torn"`` (a mutilated record persisted).  ``torn_writes`` does the
-    analogue for page writes and implies ``full_page_writes`` so the
-    torn pages are repairable.  ``double_samples`` recovery events per
-    point are re-run with a second crash inside recovery
-    (``double_samples <= 0`` means every recovery event).
-    """
-    scenario = scenario or SweepScenario()
-    if full_page_writes is None:
-        full_page_writes = torn_writes
-    say = log_fn or (lambda message: None)
+    #: Target state before the statements ran, and after (the oracle).
+    initial: Any
+    state: Any
+    durable_events: int
+    #: Live pages of the pre-statement durable image.
+    pages: List[int]
 
-    # Pass 0: pre-statement state, oracle state, durable event count.
-    case = scenario.build()
-    initial = capture_state(case.db)
+
+def oracle_pass(target: Any) -> SweepOracle:
+    """Pass 0: build, run the statements fault-free under a counting
+    injector, and raise if the result already fails the target's own
+    oracle check."""
+    case = target.sweep_case()
+    pages = case.db.disk.page_ids()
+    initial = target.sweep_state(case)
     counter = FaultInjector()
-    RecoverableBulkDelete(
-        case.db, "R", "A", case.keys, case.log,
-        faults=counter, full_page_writes=full_page_writes,
-        lanes=scenario.lanes, traffic=case.traffic,
-    ).run()
-    oracle = capture_state(case.db)
-    oracle_problems = integrity_problems(case.db, case.registry, case.keys)
-    if oracle_problems:
+    target.sweep_statements(case, counter)
+    state = target.sweep_state(case)
+    problems = target.oracle_problems(case, initial, state)
+    if problems:
         raise ReproError(
             "fault-free oracle run is already inconsistent: "
-            + "; ".join(oracle_problems)
+            + "; ".join(problems)
         )
-    report = SweepReport(durable_events=counter.durable_event_count)
-    report.points = _choose_points(counter.durable_event_count, max_points)
-    say(
-        f"oracle: {counter.durable_event_count} durable events; "
-        f"sweeping {len(report.points)} crash points"
-        + (f" (wal_tail={wal_tail})" if wal_tail != "keep" else "")
-        + (" (torn page writes)" if torn_writes else "")
+    return SweepOracle(
+        initial=initial, state=state,
+        durable_events=counter.durable_event_count, pages=pages,
     )
 
+
+def sweep_crash_points(
+    target: Any,
+    max_points: Optional[int] = None,
+    double_samples: Optional[int] = None,
+    log_fn: Optional[Callable[[str], None]] = None,
+) -> SweepReport:
+    """Crash ``target``'s statements after every (or ``max_points``
+    evenly spaced) durable event, recover, and collect the problems.
+
+    ``double_samples`` recovery events of each clean point are re-run
+    with a second crash inside recovery (``<= 0``: every recovery
+    event; ``None``: no double crashes).  A point whose recovery raises
+    is recorded as failed and the sweep goes on.
+    """
+    say = log_fn or (lambda message: None)
+    oracle = oracle_pass(target)
+    report = SweepReport(durable_events=oracle.durable_events)
+    report.points = _choose_points(oracle.durable_events, max_points)
+    say(
+        f"oracle: {oracle.durable_events} durable events; "
+        f"sweeping {len(report.points)} crash points"
+    )
     for k in report.points:
-        outcome = _run_point(
-            scenario, k, None, torn_writes, wal_tail, full_page_writes,
-            initial, oracle,
-        )
+        outcome = _crash_point(target, oracle, k, None)
         report.outcomes.append(outcome)
         if not outcome.ok:
             say(f"  event {k}: FAIL: {outcome.problems[0]}")
             continue
-        if not double_crash or not outcome.recovery_events:
+        if double_samples is None or not outcome.recovery_events:
             continue
         samples = None if double_samples <= 0 else double_samples
         for j in _choose_points(outcome.recovery_events, samples):
-            second = _run_point(
-                scenario, k, j, torn_writes, wal_tail, full_page_writes,
-                initial, oracle,
-            )
+            second = _crash_point(target, oracle, k, j)
             report.outcomes.append(second)
             if not second.ok:
                 say(
@@ -481,114 +504,277 @@ def _choose_points(total: int, max_points: Optional[int]) -> List[int]:
     })
 
 
-def _run_point(
-    scenario: SweepScenario,
+def _crash_point(
+    target: Any,
+    oracle: SweepOracle,
     event: int,
     second_event: Optional[int],
-    torn_writes: bool,
-    wal_tail: str,
-    full_page_writes: bool,
-    initial: Dict[str, TableState],
-    oracle: Dict[str, TableState],
 ) -> PointOutcome:
-    case = scenario.build()
-
-    def plan_for(k: int) -> FaultPlan:
-        return FaultPlan(
-            crash_after_event=k,
-            torn_write=torn_writes,
-            drop_wal_tail=(wal_tail == "drop"),
-            torn_wal_tail=(wal_tail == "torn"),
-        )
-
+    case = target.sweep_case()
     outcome = PointOutcome(event=event, second_event=second_event)
-    runner = RecoverableBulkDelete(
-        case.db, "R", "A", case.keys, case.log,
-        faults=FaultInjector(plan_for(event)),
-        full_page_writes=full_page_writes,
-        lanes=scenario.lanes, traffic=case.traffic,
-    )
     try:
-        runner.run()
+        target.sweep_statements(
+            case, FaultInjector(target.crash_plan(event))
+        )
     except SimulatedCrash as exc:
         outcome.crash = str(exc)
     if outcome.crash is None:
         outcome.problems.append(f"no crash fired at durable event {event}")
         return outcome
-
-    if second_event is not None:
-        # Crash the recovery run itself, then recover from *that*.
-        try:
-            recover(
-                case.db, case.log,
-                faults=FaultInjector(plan_for(second_event)),
-                full_page_writes=full_page_writes,
-            )
-        except SimulatedCrash:
-            pass
-
-    counting = FaultInjector()
-    rec_report = recover(
-        case.db, case.log, faults=counting,
-        full_page_writes=full_page_writes,
-    )
-    outcome.recovery_events = counting.durable_event_count
-    with_traffic = bool(case.traffic_order)
-    if with_traffic:
-        # Zero lost committed writes: checked before the top-up, so a
-        # write the top-up would re-submit cannot mask a lost one.
-        outcome.problems.extend(lost_user_writes(case.db, case.log))
-
-    def matches_oracle(state: Dict[str, TableState]) -> bool:
-        if with_traffic:
-            return logical_state(state) == logical_state(oracle)
-        return state == oracle
-
-    state = capture_state(case.db)
-    reissued = False
-    if not matches_oracle(state) and (
-        rec_report.abandoned or not rec_report.resumed
-    ):
-        # The statement never started (its begin record was the lost
-        # tail) or was abandoned before modifying anything; the client
-        # re-issues it — with its full traffic schedule.  Legitimate
-        # only from the pristine state.
-        if state == initial:
-            RecoverableBulkDelete(
-                case.db, "R", "A", case.keys, case.log,
-                lanes=scenario.lanes, traffic=case.traffic,
-            ).run()
-            state = capture_state(case.db)
-            reissued = True
-    if with_traffic and not reissued:
-        # Writes whose commit record died with the crash were never
-        # acknowledged; the client re-submits them (the oracle ran the
-        # full schedule, so the comparison needs them applied).
-        committed = sum(1 for _ in case.log.records("user_op"))
-        for write in case.traffic_order[committed:]:
-            apply_user_write(case.db, case.log, "R", write)
-        case.db.flush()
-        state = capture_state(case.db)
-    if not matches_oracle(state):
+    try:
+        target.recover_point(case, outcome, oracle.initial, oracle.state)
+    except Exception as exc:  # a sweep reports every point, never dies
         outcome.problems.append(
-            _diff_states(oracle, state)
-            if not with_traffic
-            else "logical state != oracle after recovery + re-submit"
-        )
-    outcome.problems.extend(
-        integrity_problems(case.db, case.registry, case.keys)
-    )
-    # Recovery must be terminal: a further restart finds nothing to do.
-    if recover(case.db, case.log).resumed:
-        outcome.problems.append(
-            "recovery is not terminal (a further recover() resumed)"
+            f"recovery raised {type(exc).__name__}: {exc}"
         )
     return outcome
 
 
-def _diff_states(
-    oracle: Dict[str, TableState], state: Dict[str, TableState]
-) -> str:
+@dataclass(frozen=True)
+class HeapSweep:
+    """The heap scenario's sweep target, for crash and media sweeps.
+
+    ``torn_writes`` tears the crashing page write and ``wal_tail``
+    shapes a crash on a WAL append (see :func:`crash_point_sweep`);
+    ``full_page_writes`` logs page images so torn or faulty pages are
+    repairable.
+    """
+
+    scenario: SweepScenario
+    torn_writes: bool = False
+    wal_tail: str = "keep"
+    full_page_writes: bool = False
+
+    def sweep_case(self) -> SweepCase:
+        return self.scenario.build()
+
+    def sweep_state(self, case: SweepCase) -> DbState:
+        return capture_state(case.db)
+
+    def sweep_statements(self, case: SweepCase,
+                         faults: Optional[FaultInjector]) -> None:
+        RecoverableBulkDelete(
+            case.db, "R", "A", case.keys, case.log,
+            faults=faults, full_page_writes=self.full_page_writes,
+            lanes=self.scenario.lanes, traffic=case.traffic,
+        ).run()
+
+    def oracle_problems(self, case: SweepCase, initial: DbState,
+                        oracle: DbState) -> List[str]:
+        return integrity_problems(case.db, case.registry, case.keys)
+
+    def crash_plan(self, event: int) -> FaultPlan:
+        return FaultPlan(
+            crash_after_event=event,
+            torn_write=self.torn_writes,
+            drop_wal_tail=(self.wal_tail == "drop"),
+            torn_wal_tail=(self.wal_tail == "torn"),
+        )
+
+    def recover_point(self, case: SweepCase, outcome: PointOutcome,
+                      initial: DbState, oracle: DbState) -> None:
+        if outcome.second_event is not None:
+            # Crash the recovery run itself, then recover from *that*.
+            try:
+                recover(
+                    case.db, case.log,
+                    faults=FaultInjector(
+                        self.crash_plan(outcome.second_event)
+                    ),
+                    full_page_writes=self.full_page_writes,
+                )
+            except SimulatedCrash:
+                pass
+
+        counting = FaultInjector()
+        rec_report = recover(
+            case.db, case.log, faults=counting,
+            full_page_writes=self.full_page_writes,
+        )
+        outcome.recovery_events = counting.durable_event_count
+        with_traffic = bool(case.traffic_order)
+        if with_traffic:
+            # Zero lost committed writes: checked before the top-up, so a
+            # write the top-up would re-submit cannot mask a lost one.
+            outcome.problems.extend(lost_user_writes(case.db, case.log))
+
+        def matches_oracle(state: DbState) -> bool:
+            if with_traffic:
+                return logical_state(state) == logical_state(oracle)
+            return state == oracle
+
+        state = capture_state(case.db)
+        reissued = False
+        if not matches_oracle(state) and (
+            rec_report.abandoned or not rec_report.resumed
+        ):
+            # The statement never started (its begin record was the lost
+            # tail) or was abandoned before modifying anything; the client
+            # re-issues it — with its full traffic schedule.  Legitimate
+            # only from the pristine state.
+            if state == initial:
+                self.sweep_statements(case, None)
+                state = capture_state(case.db)
+                reissued = True
+        if with_traffic and not reissued:
+            # Writes whose commit record died with the crash were never
+            # acknowledged; the client re-submits them (the oracle ran the
+            # full schedule, so the comparison needs them applied).
+            committed = sum(1 for _ in case.log.records("user_op"))
+            for write in case.traffic_order[committed:]:
+                apply_user_write(case.db, case.log, "R", write)
+            case.db.flush()
+            state = capture_state(case.db)
+        if not matches_oracle(state):
+            outcome.problems.append(
+                _diff_states(oracle, state)
+                if not with_traffic
+                else "logical state != oracle after recovery + re-submit"
+            )
+        outcome.problems.extend(
+            integrity_problems(case.db, case.registry, case.keys)
+        )
+        # Recovery must be terminal: a further restart finds nothing to do.
+        if recover(case.db, case.log).resumed:
+            outcome.problems.append(
+                "recovery is not terminal (a further recover() resumed)"
+            )
+
+    def media_point(self, case: SweepCase, outcome: MediaPointOutcome,
+                    initial: DbState, oracle: DbState) -> None:
+        """Run the statement with ``outcome``'s read fault armed; it
+        must heal to the oracle or abort cleanly (see
+        :mod:`repro.media.sweep`)."""
+        db, log, disk = case.db, case.log, case.db.disk
+        page_id, kind = outcome.page_id, outcome.kind
+        # The operator's backup: the pre-statement durable image of every
+        # page (taken before the injector arms and corrupts anything).
+        backup = {pid: disk.durable_image(pid) for pid in disk.page_ids()}
+        injector = FaultInjector(
+            FaultPlan(read_fault=kind, read_fault_page=page_id)
+        )
+        media = MediaRecovery(
+            disk,
+            image_sources=[
+                ("wal", wal_image_source(log)),
+                ("backup", backup.get),
+            ],
+        )
+        mismatch = f"healed state != oracle (page {page_id}, {kind})"
+        db.pool.media = media
+        try:
+            # Arming applies at-rest corruption for latent/stuck plans.
+            with injector.armed(disk, pool=db.pool, log=log):
+                try:
+                    if kind == STUCK:
+                        # The amcheck gate: genuinely bad media must fail
+                        # the statement before it can modify anything.
+                        # (Transient and latent points skip the gate — the
+                        # mid-statement retry/repair path must heal them.)
+                        require_scrubbed(db, media=media,
+                                         check_structures=False)
+                    self.sweep_statements(case, None)
+                except MediaError as exc:
+                    if not self._clean_abort(
+                        case, injector, backup, exc, initial, outcome
+                    ):
+                        return
+                    # The client's contract after an abort: fix the
+                    # medium, re-issue.
+                    self.sweep_statements(case, None)
+                    mismatch = (
+                        "re-issued statement after media replacement "
+                        "!= oracle"
+                    )
+                else:
+                    # Healed path: the statement completed.  Pages it
+                    # never read may still be damaged; the scrubber must
+                    # finish the job online.
+                    outcome.outcome = "healed"
+                    post = scrub_database(db, media=media)
+                    if not post.ok:
+                        outcome.problems.append(
+                            "post-run scrub could not heal the database: "
+                            + post.summary()
+                        )
+        finally:
+            db.pool.media = None
+        if capture_state(db) != oracle:
+            outcome.problems.append(mismatch)
+        outcome.problems.extend(
+            integrity_problems(db, case.registry, case.keys)
+        )
+
+    def _clean_abort(self, case: SweepCase, injector: FaultInjector,
+                     backup: Dict[int, bytes], exc: MediaError,
+                     initial: DbState, outcome: MediaPointOutcome) -> bool:
+        """An abort is acceptable only if it is typed, names the faulty
+        page, fenced it off, and modified nothing.  Records what is
+        wrong; true if the state after media replacement is pristine,
+        so the client may re-issue the statement."""
+        page_id = outcome.page_id
+        outcome.outcome = "aborted"
+        outcome.aborted_with = type(exc).__name__
+        db = case.db
+        disk = db.disk
+        if not isinstance(exc, QuarantinedPage):
+            outcome.problems.append(
+                f"abort raised {type(exc).__name__}, expected QuarantinedPage"
+            )
+        if exc.page_id != page_id:
+            outcome.problems.append(
+                f"abort names page {exc.page_id}, expected {page_id}"
+            )
+        if disk.quarantined != {page_id}:
+            outcome.problems.append(
+                f"quarantined set is {sorted(disk.quarantined)}, "
+                f"expected [{page_id}]"
+            )
+        if any(True for _ in case.log.records("bulk_begin")):
+            outcome.problems.append(
+                "statement started before the abort (bulk_begin logged); "
+                "modifications may have been lost"
+            )
+        # The abort must have left the pre-statement image intact modulo
+        # the injected damage itself; replace the medium and check.
+        disk.restore_page(page_id, backup[page_id])
+        injector.disarm()
+        db.pool.media = None
+        if capture_state(db) != initial:
+            outcome.problems.append(
+                "abort was not clean: state != pre-statement image after "
+                "media replacement"
+            )
+            return False
+        return True
+
+def crash_point_sweep(
+    scenario: Optional[SweepScenario] = None,
+    max_points: Optional[int] = None,
+    double_samples: Optional[int] = 2,
+    torn_writes: bool = False,
+    wal_tail: str = "keep",
+    log_fn: Optional[Callable[[str], None]] = None,
+) -> SweepReport:
+    """Sweep a crash over every (or ``max_points`` evenly spaced)
+    durable event of the scenario's bulk delete.
+
+    ``wal_tail`` shapes the crash when it lands on a WAL append:
+    ``"keep"`` (the force completed), ``"drop"`` (it never did) or
+    ``"torn"`` (a mutilated record persisted).  ``torn_writes`` does the
+    analogue for page writes and implies full-page-write logging so the
+    torn pages are repairable.  ``double_samples`` recovery events per
+    point are re-run with a second crash inside recovery
+    (``double_samples <= 0`` means every recovery event, ``None`` none).
+    """
+    target = HeapSweep(
+        scenario or SweepScenario(), torn_writes=torn_writes,
+        wal_tail=wal_tail, full_page_writes=torn_writes,
+    )
+    return sweep_crash_points(target, max_points, double_samples, log_fn)
+
+
+def _diff_states(oracle: DbState, state: DbState) -> str:
     parts: List[str] = []
     for name in sorted(set(oracle) | set(state)):
         expected, actual = oracle.get(name), state.get(name)

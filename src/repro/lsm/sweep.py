@@ -7,7 +7,8 @@ cutting the timeline after any one of them must leave a state that
 recovers to something between "delete not yet applied" and "delete
 fully applied", with nothing corrupted, nothing lost, and **no
 tombstoned row ever resurrected**.  The sweep turns that into a
-checked property, mirroring :func:`repro.faults.sweep.crash_sweep`:
+checked property on the one crash-sweep driver,
+:func:`repro.faults.sweep.sweep_crash_points`:
 
 1. run the scenario's bulk delete **fault-free** under a counting
    :class:`~repro.faults.injector.FaultInjector`, capturing the oracle
@@ -37,10 +38,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.catalog.database import Database
 from repro.catalog.schema import Attribute, TableSchema
-from repro.errors import ReproError
 from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultPlan, SimulatedCrash
-from repro.faults.sweep import PointOutcome, SweepReport, _choose_points
+from repro.faults.plan import FaultPlan
+from repro.faults.sweep import PointOutcome, SweepReport, sweep_crash_points
 from repro.lsm.engine import lsm_bulk_delete
 from repro.lsm.tree import LsmConfig, LsmTree
 
@@ -112,6 +112,90 @@ class LsmSweepScenario:
         keys = block + points
         return LsmSweepCase(db=db, keys=keys)
 
+    # -- sweep hooks (see repro.faults.sweep) ---------------------------
+    def sweep_case(self) -> "LsmSweepCase":
+        return self.build()
+
+    def sweep_state(self, case: "LsmSweepCase") -> State:
+        return case.state()
+
+    def sweep_statements(self, case: "LsmSweepCase",
+                         faults: FaultInjector) -> None:
+        with faults.armed(case.db.disk, pool=case.db.pool):
+            lsm_bulk_delete(case.db, "R", "A", case.keys)
+
+    def oracle_problems(self, case: "LsmSweepCase", before: State,
+                        oracle: State) -> List[str]:
+        expected = {
+            key: values
+            for key, values in before.items()
+            if key not in set(case.keys)
+        }
+        if oracle == expected:
+            return []
+        return [
+            "rows do not match the set difference: "
+            f"{len(oracle)} rows vs {len(expected)} expected"
+        ]
+
+    def crash_plan(self, event: int) -> FaultPlan:
+        return FaultPlan(crash_after_event=event, torn_write=self.torn)
+
+    def recover_point(self, case: "LsmSweepCase", outcome: PointOutcome,
+                      before: State, oracle: State) -> None:
+        problems = outcome.problems
+        case.reopen()
+
+        # Invariant 1: the visible state is the pre-delete image minus
+        # some subset of the delete list — nothing corrupted, lost, or
+        # invented.
+        state = case.state()
+        for key, values in state.items():
+            if key not in before:
+                problems.append(f"phantom row {key} appeared after recovery")
+            elif before[key] != values:
+                problems.append(
+                    f"row {key} corrupted after recovery: "
+                    f"{values!r} != {before[key]!r}"
+                )
+        targeted = set(case.keys)
+        for key in before:
+            if key not in state and key not in targeted:
+                problems.append(f"non-targeted row {key} lost by the crash")
+        if problems:
+            return
+
+        # Invariant 2: re-issuing the delete is idempotent and completes it.
+        lsm_bulk_delete(case.db, "R", "A", case.keys)
+        state = case.state()
+        if state != oracle:
+            problems.append(
+                f"re-issued delete missed the oracle: {len(state)} rows "
+                f"vs {len(oracle)}"
+            )
+            return
+
+        # Invariant 3: dropping every tombstone must not resurrect rows.
+        case.tree.compact_all()
+        state = case.state()
+        if state != oracle:
+            resurrected = sorted(set(state) - set(oracle))
+            problems.append(
+                "compaction after recovery changed the visible state"
+                + (f"; resurrected keys {resurrected[:5]}"
+                   if resurrected else "")
+            )
+            return
+
+        # Invariant 4: recovery is terminal — a further restart from the
+        # same durable state sees the identical rows.
+        case.db.pool.invalidate_all()
+        case.reopen()
+        if case.state() != oracle:
+            problems.append(
+                "second recovery diverged (recovery is not terminal)"
+            )
+
 
 @dataclass
 class LsmSweepCase:
@@ -129,6 +213,14 @@ class LsmSweepCase:
     def state(self) -> State:
         return {key: values for key, values in self.db.scan("R")}
 
+    def reopen(self) -> None:
+        """Recover the tree from durable state only and re-bind the
+        catalog entry."""
+        self.db.table("R").lsm = LsmTree.recover(
+            self.db.pool, self.tree.handle,
+            config=self.tree.config, name="R",
+        )
+
 
 def lsm_crash_sweep(
     scenario: Optional[LsmSweepScenario] = None,
@@ -137,122 +229,6 @@ def lsm_crash_sweep(
 ) -> SweepReport:
     """Sweep a crash over every (or ``max_points`` evenly spaced)
     durable event of the scenario's LSM bulk delete."""
-    scenario = scenario or LsmSweepScenario()
-    say = log_fn or (lambda message: None)
-
-    # Pass 0: pre-delete image, oracle state, durable event count.
-    case = scenario.build()
-    before = case.state()
-    counter = FaultInjector()
-    with counter.armed(case.db.disk, pool=case.db.pool):
-        lsm_bulk_delete(case.db, "R", "A", case.keys)
-    oracle = case.state()
-    expected = {
-        key: values
-        for key, values in before.items()
-        if key not in set(case.keys)
-    }
-    if oracle != expected:
-        raise ReproError(
-            "fault-free LSM oracle run does not match the set "
-            f"difference: {len(oracle)} rows vs {len(expected)} expected"
-        )
-    report = SweepReport(durable_events=counter.durable_event_count)
-    report.points = _choose_points(counter.durable_event_count, max_points)
-    say(
-        f"lsm oracle: {len(case.keys)} keys deleted, "
-        f"{counter.durable_event_count} durable events; "
-        f"sweeping {len(report.points)} crash points"
-        + (" (torn page writes)" if scenario.torn else "")
+    return sweep_crash_points(
+        scenario or LsmSweepScenario(), max_points, log_fn=log_fn
     )
-    for k in report.points:
-        outcome = _run_lsm_point(scenario, k, before, oracle)
-        report.outcomes.append(outcome)
-        if not outcome.ok:
-            say(f"  event {k}: FAIL: {outcome.problems[0]}")
-    return report
-
-
-def _run_lsm_point(
-    scenario: LsmSweepScenario,
-    event: int,
-    before: State,
-    oracle: State,
-) -> PointOutcome:
-    case = scenario.build()
-    outcome = PointOutcome(event=event, second_event=None)
-    targeted = set(case.keys)
-    injector = FaultInjector(
-        FaultPlan(crash_after_event=event, torn_write=scenario.torn)
-    )
-    try:
-        with injector.armed(case.db.disk, pool=case.db.pool):
-            lsm_bulk_delete(case.db, "R", "A", case.keys)
-    except SimulatedCrash as exc:
-        outcome.crash = str(exc)
-    if outcome.crash is None:
-        outcome.problems.append(f"no crash fired at durable event {event}")
-        return outcome
-
-    # Recover from durable state only and re-bind the catalog entry.
-    table = case.db.table("R")
-    assert table.lsm is not None
-    table.lsm = LsmTree.recover(
-        case.db.pool, table.lsm.handle,
-        config=table.lsm.config, name="R",
-    )
-
-    # Invariant 1: the visible state is the pre-delete image minus some
-    # subset of the delete list — nothing corrupted, lost, or invented.
-    state = case.state()
-    for key, values in state.items():
-        if key not in before:
-            outcome.problems.append(
-                f"phantom row {key} appeared after recovery"
-            )
-        elif before[key] != values:
-            outcome.problems.append(
-                f"row {key} corrupted after recovery: "
-                f"{values!r} != {before[key]!r}"
-            )
-    for key in before:
-        if key not in state and key not in targeted:
-            outcome.problems.append(
-                f"non-targeted row {key} lost by the crash"
-            )
-    if outcome.problems:
-        return outcome
-
-    # Invariant 2: re-issuing the delete is idempotent and completes it.
-    lsm_bulk_delete(case.db, "R", "A", case.keys)
-    state = case.state()
-    if state != oracle:
-        outcome.problems.append(
-            f"re-issued delete missed the oracle: {len(state)} rows "
-            f"vs {len(oracle)}"
-        )
-        return outcome
-
-    # Invariant 3: dropping every tombstone must not resurrect rows.
-    case.tree.compact_all()
-    state = case.state()
-    if state != oracle:
-        resurrected = sorted(set(state) - set(oracle))
-        outcome.problems.append(
-            "compaction after recovery changed the visible state"
-            + (f"; resurrected keys {resurrected[:5]}" if resurrected else "")
-        )
-        return outcome
-
-    # Invariant 4: recovery is terminal — a further restart from the
-    # same durable state sees the identical rows.
-    case.db.pool.invalidate_all()
-    table.lsm = LsmTree.recover(
-        case.db.pool, case.tree.handle,
-        config=case.tree.config, name="R",
-    )
-    if case.state() != oracle:
-        outcome.problems.append(
-            "second recovery diverged (recovery is not terminal)"
-        )
-    return outcome

@@ -28,25 +28,24 @@ durable image.  WAL images are safe here because a pool miss reads a
 page before its frame can be dirtied, so a mid-statement repair always
 happens before the statement's own modifications to that page (see
 :mod:`repro.media.retry`).
+
+One driver, :func:`sweep_media_pages`, runs this sweep and the
+retention media sweep; the heap point itself is
+:meth:`repro.faults.sweep.HeapSweep.media_point`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, List, Optional, Sequence
 
-from repro.errors import MediaError, QuarantinedPage, ReproError
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import READ_FAULT_KINDS, STUCK, FaultPlan
+from repro.faults.plan import READ_FAULT_KINDS
 from repro.faults.sweep import (
+    HeapSweep,
     SweepScenario,
     _choose_points,
-    capture_state,
-    integrity_problems,
+    oracle_pass,
 )
-from repro.media.retry import MediaPolicy, MediaRecovery, wal_image_source
-from repro.media.scrub import require_scrubbed, scrub_database
-from repro.recovery.restart import RecoverableBulkDelete
 
 
 @dataclass
@@ -102,47 +101,39 @@ class MediaSweepReport:
         return "\n".join(lines)
 
 
-def media_sweep(
-    scenario: Optional[SweepScenario] = None,
+def sweep_media_pages(
+    target: Any,
+    kinds: Sequence[str],
     max_points: Optional[int] = None,
-    policy: Optional[MediaPolicy] = None,
     log_fn: Optional[Callable[[str], None]] = None,
 ) -> MediaSweepReport:
-    """Sweep every read-fault kind over every (or ``max_points`` evenly
-    sampled) pre-statement page of the scenario's bulk delete."""
-    scenario = scenario or SweepScenario()
+    """Run ``target``'s media point for every read-fault kind in
+    ``kinds`` on every (or ``max_points`` evenly sampled) pre-statement
+    page.  A point whose run or recovery raises is recorded as failed
+    and the sweep goes on."""
     say = log_fn or (lambda message: None)
-
-    # Pass 0: pre-statement pages + state, fault-free oracle state.
-    case = scenario.build()
-    pages = case.db.disk.page_ids()
-    initial = capture_state(case.db)
-    RecoverableBulkDelete(
-        case.db, "R", "A", case.keys, case.log,
-        full_page_writes=True, lanes=scenario.lanes,
-    ).run()
-    oracle = capture_state(case.db)
-    oracle_problems = integrity_problems(case.db, case.registry, case.keys)
-    if oracle_problems:
-        raise ReproError(
-            "fault-free oracle run is already inconsistent: "
-            + "; ".join(oracle_problems)
-        )
-
+    oracle = oracle_pass(target)
+    pages = oracle.pages
     report = MediaSweepReport(durable_pages=len(pages))
     report.pages = [
         pages[i - 1] for i in _choose_points(len(pages), max_points)
     ]
     say(
         f"oracle: {len(pages)} durable pages; sweeping "
-        f"{len(report.pages)} of them x {len(READ_FAULT_KINDS)} "
-        f"fault kinds"
+        f"{len(report.pages)} of them x {len(kinds)} fault kinds"
     )
-    for kind in READ_FAULT_KINDS:
+    for kind in kinds:
         for page_id in report.pages:
-            outcome = _run_media_point(
-                scenario, page_id, kind, initial, oracle, policy
-            )
+            outcome = MediaPointOutcome(page_id=page_id, kind=kind)
+            try:
+                target.media_point(
+                    target.sweep_case(), outcome, oracle.initial,
+                    oracle.state,
+                )
+            except Exception as exc:  # a sweep reports every point
+                outcome.problems.append(
+                    f"recovery raised {type(exc).__name__}: {exc}"
+                )
             report.outcomes.append(outcome)
             if not outcome.ok:
                 say(
@@ -152,131 +143,12 @@ def media_sweep(
     return report
 
 
-def _run_media_point(
-    scenario: SweepScenario,
-    page_id: int,
-    kind: str,
-    initial: Dict,
-    oracle: Dict,
-    policy: Optional[MediaPolicy],
-) -> MediaPointOutcome:
-    outcome = MediaPointOutcome(page_id=page_id, kind=kind)
-    case = scenario.build()
-    db, log = case.db, case.log
-    disk = db.disk
-    # The operator's backup: the pre-statement durable image of every
-    # page (taken before the injector arms and corrupts anything).
-    backup = {pid: disk.durable_image(pid) for pid in disk.page_ids()}
-    injector = FaultInjector(
-        FaultPlan(read_fault=kind, read_fault_page=page_id)
-    )
-    media = MediaRecovery(
-        disk,
-        policy=policy,
-        image_sources=[
-            ("wal", wal_image_source(log)),
-            ("backup", backup.get),
-        ],
-    )
-    db.pool.media = media
-    try:
-        # Arming applies at-rest corruption for latent/stuck plans.
-        with injector.armed(disk, pool=db.pool, log=log):
-            try:
-                if kind == STUCK:
-                    # The amcheck gate: genuinely bad media must fail
-                    # the statement before it can modify anything.
-                    # (Transient and latent points skip the gate — the
-                    # mid-statement retry/repair path must heal them.)
-                    require_scrubbed(db, media=media,
-                                     check_structures=False)
-                RecoverableBulkDelete(
-                    db, "R", "A", case.keys, log,
-                    full_page_writes=True, lanes=scenario.lanes,
-                ).run()
-            except MediaError as exc:
-                return _verify_clean_abort(
-                    case, injector, backup, page_id, exc, initial,
-                    oracle, outcome,
-                )
-            # Healed path: the statement completed.  Pages it never
-            # read may still be damaged; the scrubber must finish the
-            # job online.
-            outcome.outcome = "healed"
-            post = scrub_database(db, media=media)
-            if not post.ok:
-                outcome.problems.append(
-                    "post-run scrub could not heal the database: "
-                    + post.summary()
-                )
-    finally:
-        db.pool.media = None
-    state = capture_state(db)
-    if state != oracle:
-        outcome.problems.append(
-            f"healed state != oracle (page {page_id}, {kind})"
-        )
-    outcome.problems.extend(
-        integrity_problems(db, case.registry, case.keys)
-    )
-    return outcome
-
-
-def _verify_clean_abort(
-    case,
-    injector: FaultInjector,
-    backup: Dict[int, bytes],
-    page_id: int,
-    exc: MediaError,
-    initial: Dict,
-    oracle: Dict,
-    outcome: MediaPointOutcome,
-) -> MediaPointOutcome:
-    """An abort is acceptable only if it is typed, names the faulty
-    page, fenced it off, and modified nothing — and a fault-free re-run
-    after media replacement reaches the oracle."""
-    outcome.outcome = "aborted"
-    outcome.aborted_with = type(exc).__name__
-    db = case.db
-    disk = db.disk
-    if not isinstance(exc, QuarantinedPage):
-        outcome.problems.append(
-            f"abort raised {type(exc).__name__}, expected QuarantinedPage"
-        )
-    if exc.page_id != page_id:
-        outcome.problems.append(
-            f"abort names page {exc.page_id}, expected {page_id}"
-        )
-    if disk.quarantined != {page_id}:
-        outcome.problems.append(
-            f"quarantined set is {sorted(disk.quarantined)}, "
-            f"expected [{page_id}]"
-        )
-    if any(True for _ in case.log.records("bulk_begin")):
-        outcome.problems.append(
-            "statement started before the abort (bulk_begin logged); "
-            "modifications may have been lost"
-        )
-    # The abort must have left the pre-statement image intact modulo
-    # the injected damage itself; replace the medium and check.
-    disk.restore_page(page_id, backup[page_id])
-    injector.disarm()
-    db.pool.media = None
-    if capture_state(db) != initial:
-        outcome.problems.append(
-            "abort was not clean: state != pre-statement image after "
-            "media replacement"
-        )
-        return outcome
-    # The client's contract after an abort: fix the medium, re-issue.
-    RecoverableBulkDelete(
-        db, "R", "A", case.keys, case.log, full_page_writes=True,
-    ).run()
-    if capture_state(db) != oracle:
-        outcome.problems.append(
-            "re-issued statement after media replacement != oracle"
-        )
-    outcome.problems.extend(
-        integrity_problems(db, case.registry, case.keys)
-    )
-    return outcome
+def media_sweep(
+    scenario: Optional[SweepScenario] = None,
+    max_points: Optional[int] = None,
+    log_fn: Optional[Callable[[str], None]] = None,
+) -> MediaSweepReport:
+    """Sweep every read-fault kind over every (or ``max_points`` evenly
+    sampled) pre-statement page of the scenario's bulk delete."""
+    target = HeapSweep(scenario or SweepScenario(), full_page_writes=True)
+    return sweep_media_pages(target, READ_FAULT_KINDS, max_points, log_fn)

@@ -1,7 +1,9 @@
 """Exhaustive fault sweep over the retention subsystem.
 
 The retention analogue of :func:`repro.faults.sweep.crash_point_sweep`,
-upgraded with the erasure property:
+upgraded with the erasure property.  Passes 1-3 run on the shared sweep
+drivers (:func:`repro.faults.sweep.sweep_crash_points` and
+:func:`repro.media.sweep.sweep_media_pages`):
 
 1. run a **two-policy** retention scenario fault-free — a GDPR-style
    subject erasure cascading from a heap root across CASCADE, SET NULL
@@ -26,30 +28,29 @@ upgraded with the erasure property:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass, field
+from typing import Callable, List, Optional
 
-from repro.btree.maintenance import validate_tree
 from repro.catalog.database import Database
 from repro.catalog.schema import Attribute, TableSchema
-from repro.core.integrity import (
-    ConstraintRegistry,
-    OnDelete,
-    SET_NULL_VALUE,
-    find_referencing_keys,
-)
+from repro.core.integrity import ConstraintRegistry, OnDelete
 from repro.errors import ReproError
 from repro.faults.injector import FaultInjector
-from repro.faults.plan import TRANSIENT, FaultPlan, SimulatedCrash
+from repro.faults.plan import TRANSIENT, FaultPlan
 from repro.faults.sweep import (
+    DbState,
     PointOutcome,
     SweepReport,
-    TableState,
-    _choose_points,
     capture_state,
+    integrity_problems,
+    sweep_crash_points,
 )
 from repro.media.retry import MediaRecovery, wal_image_source
-from repro.media.sweep import MediaPointOutcome, MediaSweepReport
+from repro.media.sweep import (
+    MediaPointOutcome,
+    MediaSweepReport,
+    sweep_media_pages,
+)
 from repro.recovery.wal import WriteAheadLog
 from repro.retention.audit import ErasureWitness, audit_erasure, build_witness
 from repro.retention.policy import (
@@ -194,6 +195,85 @@ class RetentionScenario:
             patterns=sorted(patterns),
         )
 
+    # -- sweep hooks (see repro.faults.sweep) ---------------------------
+    def sweep_case(self) -> "RetentionCase":
+        case = self.build()
+        case.plans = case.compile()
+        return case
+
+    def sweep_state(self, case: "RetentionCase") -> DbState:
+        return capture_state(case.db)
+
+    def sweep_statements(self, case: "RetentionCase",
+                         faults: FaultInjector) -> None:
+        _issue_run(case, case.plans, faults=faults)
+
+    def oracle_problems(self, case: "RetentionCase", initial: DbState,
+                        oracle: DbState) -> List[str]:
+        """The retention acceptance predicate, for the oracle run and
+        for every recovered or healed point."""
+        problems: List[str] = []
+        if capture_state(case.db) != oracle:
+            problems.append("state != oracle after recovery")
+        problems.extend(
+            retention_integrity_problems(case.db, case.registry, case.victims)
+        )
+        audit = audit_erasure(case.db, case.log, case.witness(case.plans))
+        for finding in audit.findings[:5]:
+            problems.append(f"audit: {finding.describe()}")
+        return problems
+
+    def crash_plan(self, event: int) -> FaultPlan:
+        return FaultPlan(crash_after_event=event)
+
+    def recover_point(self, case: "RetentionCase", outcome: PointOutcome,
+                      initial: DbState, oracle: DbState) -> None:
+        recovery = recover_retention(case.db, case.log, full_page_writes=True)
+        if not recovery.resumed and capture_state(case.db) != oracle:
+            # The begin record died with the crash: nothing durable
+            # started, so the client re-issues the whole run — legitimate
+            # only from the pristine pre-run state.  (A crash right after
+            # the final ``retention_end`` append also resumes nothing:
+            # the run is simply complete, and the oracle comparison
+            # covers it.)
+            if capture_state(case.db) != initial:
+                outcome.problems.append(
+                    "run never began, yet the state is not pristine"
+                )
+                return
+            _issue_run(case, case.compile())
+        outcome.problems.extend(self.oracle_problems(case, initial, oracle))
+        if recover_retention(case.db, case.log).resumed:
+            outcome.problems.append(
+                "recovery is not terminal (a further recover resumed)"
+            )
+
+    def media_point(self, case: "RetentionCase", outcome: MediaPointOutcome,
+                    initial: DbState, oracle: DbState) -> None:
+        """A transient read fault mid-policy must heal through
+        MediaRecovery's bounded retry/backoff and still reach the oracle
+        with a clean audit."""
+        media = MediaRecovery(
+            case.db.disk,
+            image_sources=[("wal", wal_image_source(case.log))],
+        )
+        try:
+            _issue_run(
+                case, case.plans,
+                faults=FaultInjector(FaultPlan(
+                    read_fault=outcome.kind,
+                    read_fault_page=outcome.page_id,
+                )),
+                media=media,
+            )
+        except ReproError as exc:
+            outcome.problems.append(
+                f"run did not heal a transient fault: {exc}"
+            )
+            return
+        outcome.outcome = "healed"
+        outcome.problems.extend(self.oracle_problems(case, initial, oracle))
+
 
 @dataclass
 class RetentionCase:
@@ -206,6 +286,9 @@ class RetentionCase:
     victims: List[int]
     expired_ts: List[int]
     patterns: List[bytes]
+    #: The plans compiled from the pre-run state (set by
+    #: :meth:`RetentionScenario.sweep_case`).
+    plans: List[RetentionPlan] = field(default_factory=list)
 
     def compile(self) -> List[RetentionPlan]:
         return [
@@ -223,70 +306,18 @@ def retention_integrity_problems(
     deleted_keys: List[int],
     limit: int = 20,
 ) -> List[str]:
-    """LSM-aware internal-consistency check for the retention scenario.
-
-    Mirrors :func:`repro.faults.sweep.integrity_problems` for heap
-    tables; LSM tables are checked through their own scan/count API
-    (their catalog heap is legitimately empty).  SET NULL children are
-    allowed to hold ``SET_NULL_VALUE``, never a deleted parent key.
-    """
-    problems: List[str] = []
-
-    def note(message: str) -> None:
-        if len(problems) < limit:
-            problems.append(message)
-
-    for table in db.catalog.tables():
-        table_name = table.schema.name
-        actual = list(db.scan(table_name))
-        if table.lsm is not None:
-            if table.lsm.tombstone_count and not table.lsm.memtable.entries:
-                note(f"{table_name}: undropped run tombstones remain")
-            continue
-        if table.heap.record_count != len(actual):
-            note(
-                f"{table_name}: heap record_count "
-                f"{table.heap.record_count} != {len(actual)} scanned rows"
-            )
-        for name, ix in sorted(table.indexes.items()):
-            if not ix.is_btree:
-                continue
-            try:
-                validate_tree(ix.tree)
-            except ReproError as exc:
-                note(f"{table_name}.{name}: structural: {exc}")
-                continue
-            items = list(ix.tree.items())
-            if ix.tree.entry_count != len(items):
-                note(
-                    f"{table_name}.{name}: entry_count "
-                    f"{ix.tree.entry_count} != {len(items)} entries"
-                )
-            expected = sorted(
-                (ix.key_for(values, table.schema), rid.pack())
-                for rid, values in actual
-            )
-            if sorted(items) != expected:
-                note(
-                    f"{table_name}.{name}: {len(items)} entries do not "
-                    f"match the {len(actual)} heap rows"
-                )
-    for fk in registry.all_constraints():
-        if fk.on_delete is OnDelete.SET_NULL:
-            refs = find_referencing_keys(db, fk, deleted_keys)
-            if refs:
-                note(
-                    f"fk {fk.describe()}: {len(refs)} un-nulled "
-                    "references to deleted parent keys"
-                )
-            continue
-        refs = find_referencing_keys(db, fk, deleted_keys)
-        if refs:
-            note(
-                f"fk {fk.describe()}: {len(refs)} references to "
-                "deleted parent keys"
-            )
-    return problems
+    """:func:`repro.faults.sweep.integrity_problems`, plus: every LSM
+    table has dropped its run tombstones (an erased key may not linger
+    in a tombstone)."""
+    problems = [
+        f"{table.schema.name}: undropped run tombstones remain"
+        for table in db.catalog.tables()
+        if table.lsm is not None
+        and table.lsm.tombstone_count
+        and not table.lsm.memtable.entries
+    ]
+    problems += integrity_problems(db, registry, deleted_keys, limit)
+    return problems[:limit]
 
 
 def _issue_run(
@@ -301,25 +332,6 @@ def _issue_run(
     ).run()
 
 
-def _point_problems(
-    case: RetentionCase,
-    plans: List[RetentionPlan],
-    oracle: Dict[str, TableState],
-) -> List[str]:
-    """The retention acceptance predicate for one recovered point."""
-    problems: List[str] = []
-    state = capture_state(case.db)
-    if state != oracle:
-        problems.append("state != oracle after recovery")
-    problems.extend(
-        retention_integrity_problems(case.db, case.registry, case.victims)
-    )
-    audit = audit_erasure(case.db, case.log, case.witness(plans))
-    for finding in audit.findings[:5]:
-        problems.append(f"audit: {finding.describe()}")
-    return problems
-
-
 def retention_sweep(
     scenario: Optional[RetentionScenario] = None,
     max_points: Optional[int] = None,
@@ -327,75 +339,9 @@ def retention_sweep(
 ) -> SweepReport:
     """Crash at every (or ``max_points`` evenly spaced) durable event
     of the two-policy run; recover, resume, and audit."""
-    scenario = scenario or RetentionScenario()
-    say = log_fn or (lambda message: None)
-
-    case = scenario.build()
-    plans = case.compile()
-    initial = capture_state(case.db)
-    counter = FaultInjector()
-    _issue_run(case, plans, faults=counter)
-    oracle = capture_state(case.db)
-    oracle_problems = _point_problems(case, plans, oracle)
-    if oracle_problems:
-        raise ReproError(
-            "fault-free oracle run is already failing: "
-            + "; ".join(oracle_problems)
-        )
-
-    report = SweepReport(durable_events=counter.durable_event_count)
-    report.points = _choose_points(counter.durable_event_count, max_points)
-    say(
-        f"oracle: {counter.durable_event_count} durable events; "
-        f"sweeping {len(report.points)} crash points"
+    return sweep_crash_points(
+        scenario or RetentionScenario(), max_points, log_fn=log_fn
     )
-    for k in report.points:
-        outcome = _run_crash_point(scenario, k, initial, oracle)
-        report.outcomes.append(outcome)
-        if not outcome.ok:
-            say(f"  event {k}: FAIL: {outcome.problems[0]}")
-    return report
-
-
-def _run_crash_point(
-    scenario: RetentionScenario,
-    event: int,
-    initial: Dict[str, TableState],
-    oracle: Dict[str, TableState],
-) -> PointOutcome:
-    outcome = PointOutcome(event=event, second_event=None)
-    case = scenario.build()
-    plans = case.compile()
-    try:
-        _issue_run(
-            case, plans,
-            faults=FaultInjector(FaultPlan(crash_after_event=event)),
-        )
-    except SimulatedCrash as exc:
-        outcome.crash = str(exc)
-    if outcome.crash is None:
-        outcome.problems.append(f"no crash fired at durable event {event}")
-        return outcome
-
-    recovery = recover_retention(case.db, case.log, full_page_writes=True)
-    if not recovery.resumed and capture_state(case.db) != oracle:
-        # The begin record died with the crash: nothing durable started,
-        # so the client re-issues the whole run — legitimate only from
-        # the pristine pre-run state.  (A crash right after the final
-        # ``retention_end`` append also resumes nothing: the run is
-        # simply complete, and the oracle comparison above covers it.)
-        if capture_state(case.db) != initial:
-            outcome.problems.append(
-                "run never began, yet the state is not pristine"
-            )
-            return outcome
-        _issue_run(case, case.compile())
-    outcome.problems.extend(_point_problems(case, plans, oracle))
-    if recover_retention(case.db, case.log).resumed:
-        outcome.problems.append(
-            "recovery is not terminal (a further recover resumed)"
-        )
-    return outcome
 
 
 def retention_media_sweep(
@@ -406,58 +352,9 @@ def retention_media_sweep(
     """Transient-fault every (or ``max_points`` sampled) pre-run durable
     page mid-policy; the run must heal through MediaRecovery's bounded
     retry/backoff and still reach the oracle with a clean audit."""
-    scenario = scenario or RetentionScenario()
-    say = log_fn or (lambda message: None)
-
-    case = scenario.build()
-    plans = case.compile()
-    pages = case.db.disk.page_ids()
-    _issue_run(case, plans)
-    oracle = capture_state(case.db)
-    oracle_problems = _point_problems(case, plans, oracle)
-    if oracle_problems:
-        raise ReproError(
-            "fault-free oracle run is already failing: "
-            + "; ".join(oracle_problems)
-        )
-
-    report = MediaSweepReport(durable_pages=len(pages))
-    report.pages = [
-        pages[i - 1] for i in _choose_points(len(pages), max_points)
-    ]
-    say(
-        f"oracle: {len(pages)} durable pages; transient-faulting "
-        f"{len(report.pages)} of them"
+    return sweep_media_pages(
+        scenario or RetentionScenario(), (TRANSIENT,), max_points, log_fn
     )
-    for page_id in report.pages:
-        outcome = MediaPointOutcome(page_id=page_id, kind=TRANSIENT)
-        point = scenario.build()
-        point_plans = point.compile()
-        media = MediaRecovery(
-            point.db.disk,
-            image_sources=[("wal", wal_image_source(point.log))],
-        )
-        try:
-            _issue_run(
-                point, point_plans,
-                faults=FaultInjector(FaultPlan(
-                    read_fault=TRANSIENT, read_fault_page=page_id,
-                )),
-                media=media,
-            )
-            outcome.outcome = "healed"
-        except ReproError as exc:
-            outcome.problems.append(
-                f"run did not heal a transient fault: {exc}"
-            )
-        if not outcome.problems:
-            outcome.problems.extend(
-                _point_problems(point, point_plans, oracle)
-            )
-        report.outcomes.append(outcome)
-        if not outcome.ok:
-            say(f"  page {page_id}: FAIL: {outcome.problems[0]}")
-    return report
 
 
 # ----------------------------------------------------------------------

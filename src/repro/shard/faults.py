@@ -5,8 +5,8 @@ of shard-local recoverable statements on one shared WAL — each shard's
 statement begins, sweeps its own structures, and commits before the
 next shard starts, so at most one statement is ever open and a crash
 loses at most one shard's progress.  The sweep turns that claim into a
-checked property, exactly like :mod:`repro.faults.sweep` does for the
-single-table statement:
+checked property on the one crash-sweep driver,
+:func:`repro.faults.sweep.sweep_crash_points`:
 
 1. run the whole multi-shard sequence **fault-free** with one counting
    :class:`~repro.faults.injector.FaultInjector` shared across the
@@ -32,16 +32,16 @@ from typing import Callable, List, Optional, Tuple
 
 from repro.catalog.database import Database
 from repro.catalog.schema import Attribute, TableSchema
-from repro.errors import ReproError
 from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultPlan, SimulatedCrash
+from repro.faults.plan import FaultPlan
 from repro.faults.sweep import (
+    DbState,
     PointOutcome,
     SweepReport,
-    _choose_points,
     _diff_states,
     capture_state,
     integrity_problems,
+    sweep_crash_points,
 )
 from repro.recovery.restart import RecoverableBulkDelete, recover
 from repro.recovery.wal import WriteAheadLog
@@ -103,6 +103,64 @@ class ShardSweepScenario:
             statements=statements,
         )
 
+    # -- sweep hooks (see repro.faults.sweep) ---------------------------
+    def sweep_case(self) -> "ShardSweepCase":
+        return self.build()
+
+    def sweep_state(self, case: "ShardSweepCase") -> DbState:
+        return capture_state(case.db)
+
+    def sweep_statements(self, case: "ShardSweepCase",
+                         faults: FaultInjector) -> None:
+        # One injector across the sequence: durable events number
+        # globally, so event k lands on the same write in every build.
+        for table_name, frag_keys in case.statements:
+            case.started += 1
+            RecoverableBulkDelete(
+                case.db, table_name, "A", frag_keys, case.log,
+                faults=faults,
+            ).run()
+
+    def oracle_problems(self, case: "ShardSweepCase", initial: DbState,
+                        oracle: DbState) -> List[str]:
+        return integrity_problems(case.db)
+
+    def crash_plan(self, event: int) -> FaultPlan:
+        return FaultPlan(crash_after_event=event)
+
+    def recover_point(self, case: "ShardSweepCase", outcome: PointOutcome,
+                      initial: DbState, oracle: DbState) -> None:
+        rec_report = recover(case.db, case.log)
+
+        # The interrupted statement: recovery either finished it, or the
+        # client re-issues it — legitimate only from the pristine
+        # shard-local state (shards share nothing, so the check is local).
+        # Statements after it never began; the client issues them as on
+        # a fresh run.
+        state = capture_state(case.db)
+        table_name, _ = case.statements[case.started - 1]
+        todo = case.statements[case.started:]
+        if rec_report.abandoned or not rec_report.resumed:
+            if state.get(table_name) == initial.get(table_name):
+                todo = case.statements[case.started - 1:]
+            elif state.get(table_name) != oracle.get(table_name):
+                outcome.problems.append(
+                    f"statement on {table_name} neither resumed nor "
+                    "pristine after recovery; cannot re-issue"
+                )
+        for name, keys in todo:
+            RecoverableBulkDelete(case.db, name, "A", keys, case.log).run()
+
+        state = capture_state(case.db)
+        if state != oracle:
+            outcome.problems.append(_diff_states(oracle, state))
+        outcome.problems.extend(integrity_problems(case.db))
+        # Recovery must be terminal: a further restart finds nothing to do.
+        if recover(case.db, case.log).resumed:
+            outcome.problems.append(
+                "recovery is not terminal (a further recover() resumed)"
+            )
+
 
 @dataclass
 class ShardSweepCase:
@@ -114,6 +172,9 @@ class ShardSweepCase:
     #: The shard-local statement sequence: ``(physical table, keys)``
     #: per non-empty fragment, in shard order.
     statements: List[Tuple[str, List[int]]]
+    #: Statements begun so far; after a crash, the last one begun is
+    #: the interrupted one.
+    started: int = 0
 
 
 def shard_crash_sweep(
@@ -123,98 +184,6 @@ def shard_crash_sweep(
 ) -> SweepReport:
     """Sweep a crash over every (or ``max_points`` evenly spaced)
     global durable event of the scenario's multi-shard delete."""
-    scenario = scenario or ShardSweepScenario()
-    say = log_fn or (lambda message: None)
-
-    # Pass 0: pre-statement state, oracle state, global event count.
-    case = scenario.build()
-    initial = capture_state(case.db)
-    counter = FaultInjector()
-    for table_name, frag_keys in case.statements:
-        RecoverableBulkDelete(
-            case.db, table_name, "A", frag_keys, case.log, faults=counter
-        ).run()
-    oracle = capture_state(case.db)
-    oracle_problems = integrity_problems(case.db)
-    if oracle_problems:
-        raise ReproError(
-            "fault-free sharded oracle run is already inconsistent: "
-            + "; ".join(oracle_problems)
-        )
-    report = SweepReport(durable_events=counter.durable_event_count)
-    report.points = _choose_points(counter.durable_event_count, max_points)
-    say(
-        f"sharded oracle: {len(case.statements)} shard statements, "
-        f"{counter.durable_event_count} global durable events; "
-        f"sweeping {len(report.points)} crash points"
+    return sweep_crash_points(
+        scenario or ShardSweepScenario(), max_points, log_fn=log_fn
     )
-    for k in report.points:
-        outcome = _run_shard_point(scenario, k, initial, oracle)
-        report.outcomes.append(outcome)
-        if not outcome.ok:
-            say(f"  event {k}: FAIL: {outcome.problems[0]}")
-    return report
-
-
-def _run_shard_point(
-    scenario: ShardSweepScenario,
-    event: int,
-    initial: dict,
-    oracle: dict,
-) -> PointOutcome:
-    case = scenario.build()
-    outcome = PointOutcome(event=event, second_event=None)
-    # One injector across the sequence: durable events number globally,
-    # so event k lands on the same write as in the oracle pass.
-    injector = FaultInjector(FaultPlan(crash_after_event=event))
-    crashed_at: Optional[int] = None
-    for i, (table_name, frag_keys) in enumerate(case.statements):
-        try:
-            RecoverableBulkDelete(
-                case.db, table_name, "A", frag_keys, case.log,
-                faults=injector,
-            ).run()
-        except SimulatedCrash as exc:
-            outcome.crash = str(exc)
-            crashed_at = i
-            break
-    if outcome.crash is None or crashed_at is None:
-        outcome.problems.append(
-            f"no crash fired at global durable event {event}"
-        )
-        return outcome
-
-    rec_report = recover(case.db, case.log)
-
-    # The interrupted statement: recovery either finished it, or the
-    # client re-issues it — legitimate only from the pristine
-    # shard-local state (shards share nothing, so the check is local).
-    state = capture_state(case.db)
-    table_name, frag_keys = case.statements[crashed_at]
-    if rec_report.abandoned or not rec_report.resumed:
-        if state.get(table_name) == initial.get(table_name):
-            RecoverableBulkDelete(
-                case.db, table_name, "A", frag_keys, case.log
-            ).run()
-        elif state.get(table_name) != oracle.get(table_name):
-            outcome.problems.append(
-                f"statement on {table_name} neither resumed nor "
-                "pristine after recovery; cannot re-issue"
-            )
-    # Statements after the crashed one never began; the client issues
-    # them as on a fresh run.
-    for next_name, next_keys in case.statements[crashed_at + 1:]:
-        RecoverableBulkDelete(
-            case.db, next_name, "A", next_keys, case.log
-        ).run()
-
-    state = capture_state(case.db)
-    if state != oracle:
-        outcome.problems.append(_diff_states(oracle, state))
-    outcome.problems.extend(integrity_problems(case.db))
-    # Recovery must be terminal: a further restart finds nothing to do.
-    if recover(case.db, case.log).resumed:
-        outcome.problems.append(
-            "recovery is not terminal (a further recover() resumed)"
-        )
-    return outcome

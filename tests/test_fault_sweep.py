@@ -57,7 +57,7 @@ def test_choose_points_spacing():
 
 
 def test_full_sweep_every_durable_event():
-    report = crash_point_sweep(SMALL, double_crash=False)
+    report = crash_point_sweep(SMALL, double_samples=None)
     assert report.durable_events > 10
     assert len(report.points) == report.durable_events
     assert report.ok, report.summary()
@@ -74,14 +74,14 @@ def test_sweep_with_double_crashes():
 
 def test_sweep_with_dropped_wal_tail():
     report = crash_point_sweep(
-        SMALL, max_points=8, double_crash=False, wal_tail="drop"
+        SMALL, max_points=8, double_samples=None, wal_tail="drop"
     )
     assert report.ok, report.summary()
 
 
 def test_sweep_with_torn_wal_tail():
     report = crash_point_sweep(
-        SMALL, max_points=8, double_crash=False, wal_tail="torn"
+        SMALL, max_points=8, double_samples=None, wal_tail="torn"
     )
     assert report.ok, report.summary()
 
@@ -90,7 +90,7 @@ def test_sweep_with_torn_page_writes():
     # torn_writes implies full-page-write logging, so every torn page
     # is repairable from its logged pre-image.
     report = crash_point_sweep(
-        SMALL, max_points=8, double_crash=False, torn_writes=True
+        SMALL, max_points=8, double_samples=None, torn_writes=True
     )
     assert report.ok, report.summary()
 
@@ -141,6 +141,57 @@ def test_report_summary_mentions_failures():
     )
     assert not report.ok
     assert "FAIL at event 2: boom" in report.summary()
+
+
+def test_recovery_that_raises_fails_its_point_and_the_sweep_goes_on(
+    monkeypatch, capsys
+):
+    import json
+
+    import repro.faults.sweep as sweep_module
+    from repro.cli import main
+
+    calls = []
+
+    def raising_recover(db, log, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:  # the first point's restart
+            raise RuntimeError("page 2 failed checksum verification")
+        return recover(db, log, **kwargs)
+
+    monkeypatch.setattr(sweep_module, "recover", raising_recover)
+    report = crash_point_sweep(SMALL, max_points=3, double_samples=None)
+    assert len(report.outcomes) == 3
+    assert report.failures == report.outcomes[:1]
+    assert report.outcomes[0].problems == [
+        "recovery raised RuntimeError: page 2 failed checksum verification"
+    ]
+    # The CLI prints the structured not-ok report and exits 1.
+    calls.clear()
+    code = main([
+        "faultsweep", "--max-points", "3", "--records", "24",
+        "--no-double", "--format", "json",
+    ])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert payload["ok"] is False and payload["failures"] == 1
+    assert payload["outcomes"][0]["problems"][0].startswith(
+        "recovery raised RuntimeError"
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ["faultsweep", "--max-points", "0"],
+    ["faultsweep", "--lsm", "--max-points", "0"],
+    ["mediasweep", "--max-points", "-3"],
+])
+def test_sweep_cli_rejects_a_point_limit_below_one(argv, capsys):
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "at least 1" in capsys.readouterr().err
 
 
 def test_faultsweep_cli_smoke(capsys):
@@ -202,7 +253,7 @@ def test_lost_user_writes_detector():
 
 
 def test_traffic_sweep_every_point_recovers_with_zero_lost_writes():
-    report = crash_point_sweep(TRAFFIC, double_crash=False)
+    report = crash_point_sweep(TRAFFIC, double_samples=None)
     assert report.durable_events > 10
     assert report.ok, report.summary()
 
@@ -212,7 +263,7 @@ def test_traffic_sweep_with_double_crashes_and_tail_loss():
     assert report.ok, report.summary()
     for tail in ("drop", "torn"):
         report = crash_point_sweep(
-            TRAFFIC, max_points=4, double_crash=False, wal_tail=tail
+            TRAFFIC, max_points=4, double_samples=None, wal_tail=tail
         )
         assert report.ok, report.summary()
 

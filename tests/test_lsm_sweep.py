@@ -9,6 +9,7 @@ acknowledged write — fails fast and close to the code.
 
 import dataclasses
 
+from repro.faults.sweep import integrity_problems
 from repro.lsm import LsmSweepScenario, lsm_crash_sweep
 
 
@@ -34,6 +35,12 @@ def test_sweep_scenario_is_deterministic():
     # The sweep relies on event k landing on the same page write in
     # every rebuild; identical durable images imply identical timelines.
     assert a.db.disk.stats.writes == b.db.disk.stats.writes
+
+
+def test_integrity_problems_skips_lsm_tables():
+    # An LSM table has no heap or index of its own; its empty catalog
+    # heap is not a record-count mismatch.
+    assert integrity_problems(LsmSweepScenario().build().db) == []
 
 
 def test_smaller_scenario_still_exercises_flush_and_compaction():

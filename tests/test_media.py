@@ -572,3 +572,16 @@ def test_media_sweep_tiny_scenario_heals_or_aborts_cleanly():
     assert outcomes[STUCK] == "aborted"
     aborted = [o for o in report.outcomes if o.outcome == "aborted"]
     assert all(o.aborted_with == "QuarantinedPage" for o in aborted)
+
+
+def test_media_sweep_records_a_point_that_raises(monkeypatch):
+    import repro.faults.sweep as sweep_module
+
+    def raising_gate(db, **kwargs):
+        raise RuntimeError("gate broke")
+
+    monkeypatch.setattr(sweep_module, "require_scrubbed", raising_gate)
+    report = media_sweep(SweepScenario(records=24), max_points=2)
+    stuck = [o for o in report.outcomes if o.kind == STUCK]
+    assert report.failures == stuck and len(stuck) == 2
+    assert stuck[0].problems == ["recovery raised RuntimeError: gate broke"]

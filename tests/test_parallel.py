@@ -479,9 +479,9 @@ def test_recoverable_parallel_matches_serial_state():
 
 def test_parallel_crash_sweep_is_clean_and_replayable():
     scenario = dataclasses.replace(WIDE, lanes=2)
-    first = crash_point_sweep(scenario, max_points=4, double_crash=False)
+    first = crash_point_sweep(scenario, max_points=4, double_samples=None)
     assert first.ok, first.summary()
-    again = crash_point_sweep(scenario, max_points=4, double_crash=False)
+    again = crash_point_sweep(scenario, max_points=4, double_samples=None)
     # Seeded lane interleaving: the durable-event numbering (and so
     # every crash point) replays exactly.
     assert again.durable_events == first.durable_events

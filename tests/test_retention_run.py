@@ -84,6 +84,25 @@ def test_clean_run_audits_clean_and_is_terminal():
     assert not recover_retention(case.db, case.log).resumed
 
 
+def test_retention_integrity_problems_catches_planted_damage():
+    case = SCENARIO.build()
+    _run(case)
+    assert retention_integrity_problems(
+        case.db, case.registry, case.victims
+    ) == []
+    # An undropped run tombstone on the LSM child...
+    events = case.db.table("events").lsm
+    events.delete(case.victims[0])
+    events.flush_memtable()
+    # ...and a heap index whose entry count lies.
+    case.db.table("users").index("I_users_UID").tree._entry_count += 1
+    problems = retention_integrity_problems(
+        case.db, case.registry, case.victims
+    )
+    assert "events: undropped run tombstones remain" in problems
+    assert any(p.startswith("users.I_users_UID: ") for p in problems)
+
+
 def test_recovery_without_a_run_is_a_no_op():
     case = SCENARIO.build()
     report = recover_retention(case.db, case.log)
