@@ -40,14 +40,18 @@ def encode_entry(key: int, seq: int, payload: Optional[bytes]) -> bytes:
     return ENTRY.pack(kind, seq, key) + (payload or b"")
 
 
-def decode_entry(record: bytes) -> Item:
-    kind, seq, key = ENTRY.unpack_from(record, 0)
-    payload = record[ENTRY.size:]
+def _is_put(kind: int) -> bool:
+    """True for a put, False for a point tombstone; anything else is corrupt."""
     if kind == KIND_TOMBSTONE:
-        return key, seq, None
+        return False
     if kind != KIND_PUT:
         raise StorageError(f"corrupt run entry kind {kind}")
-    return key, seq, bytes(payload)
+    return True
+
+
+def decode_entry(record: bytes) -> Item:
+    kind, seq, key = ENTRY.unpack_from(record, 0)
+    return key, seq, (bytes(record[ENTRY.size:]) if _is_put(kind) else None)
 
 
 @dataclass(frozen=True)
@@ -208,13 +212,21 @@ def run_get(
         page_id = meta.page_ids[slot]
         pages_read = 1
         with pool.pin(page_id) as pinned:
-            page = SlottedPage(pinned.data)
+            data = pinned.data
             scanned = 0
-            for _, record in page.records():
+            for offset, length in SlottedPage(data).directory():
+                if not length:
+                    continue
                 scanned += 1
-                entry_key, seq, payload = decode_entry(record)
+                kind, seq, entry_key = ENTRY.unpack_from(data, offset)
+                is_put = _is_put(kind)  # every walked entry, not just a match
                 if entry_key == key:
                     if best is None or seq > best[0]:
+                        payload = (
+                            bytes(data[offset + ENTRY.size : offset + length])
+                            if is_put
+                            else None
+                        )
                         best = (seq, payload)
                     break
                 if entry_key > key:
@@ -227,8 +239,13 @@ def run_iter(pool: BufferPool, meta: RunMeta) -> Iterator[Item]:
     """Yield every point entry of a run in key order (sequential reads)."""
     for page_id in meta.page_ids:
         with pool.pin(page_id) as pinned:
-            page = SlottedPage(pinned.data)
-            records = [record for _, record in page.records()]
-        pool.disk.charge_cpu_records(len(records))
-        for record in records:
-            yield decode_entry(record)
+            data = pinned.data
+            entries = [
+                ENTRY.unpack_from(data, offset)
+                + (data[offset + ENTRY.size : offset + length],)
+                for offset, length in SlottedPage(data).directory()
+                if length
+            ]
+        pool.disk.charge_cpu_records(len(entries))
+        for kind, seq, key, payload in entries:
+            yield key, seq, (bytes(payload) if _is_put(kind) else None)

@@ -48,7 +48,6 @@ first, dropping tombstones entirely once they reach the deepest data.
 from __future__ import annotations
 
 import struct
-from bisect import bisect_right
 from dataclasses import dataclass, fields, replace
 from typing import (
     Any,
@@ -303,12 +302,18 @@ class LsmTree:
     def _disjoint_covering(
         runs: Sequence[RunMeta], key: int
     ) -> Optional[RunMeta]:
-        if not runs:
+        # bisect_right over the runs' key_min, without building the list
+        # of them on every probe.
+        lo, hi = 0, len(runs)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if key < runs[mid].key_min:
+                hi = mid
+            else:
+                lo = mid + 1
+        if lo == 0:
             return None
-        idx = bisect_right([r.key_min for r in runs], key) - 1
-        if idx < 0:
-            return None
-        meta = runs[idx]
+        meta = runs[lo - 1]
         return meta if key <= meta.key_max else None
 
     def scan(self) -> Iterator[Tuple[int, bytes]]:
@@ -565,14 +570,18 @@ class LsmTree:
             )
             pages_written = sum(m.data_pages for m in outputs)
 
+            # Run ids are unique per tree, so they stand in for the runs
+            # without comparing whole RunMeta values.
             if level == 0 and not in_place:
                 self.levels[0] = []
             else:
+                merged_here = {m.run_id for m in inputs_here}
                 self.levels[level] = [
-                    m for m in self.levels[level] if m not in inputs_here
+                    m for m in self.levels[level] if m.run_id not in merged_here
                 ]
+            merged_below = {m.run_id for m in overlapping}
             survivors = [
-                m for m in self.levels[target] if m not in overlapping
+                m for m in self.levels[target] if m.run_id not in merged_below
             ]
             survivors.extend(outputs)
             if target >= 1:

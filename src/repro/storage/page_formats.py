@@ -16,18 +16,30 @@ Layout (little-endian)::
     ... free space ...
     slot directory entries of 4 bytes each, entry i at
     page_size - 4 * (i + 1):  u16 offset, u16 length (length 0 = dead)
+
+``live_records`` always equals the number of slots with a non-zero
+length: :meth:`SlottedPage.insert` rejects empty records,
+:meth:`SlottedPage.delete` decrements it, and
+:meth:`SlottedPage.compact` rewrites it from the directory.  So a page
+has a dead slot exactly when ``live_records < slot_count``, which lets
+an insert skip the directory scan on pages that never saw a delete.
+
+Every method decodes the header at most once and the slot directory at
+most once (:meth:`SlottedPage.directory`), whatever the page's slot
+count.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.errors import PageFullError, StorageError
 
 _HEADER = struct.Struct("<HHHH")
 _SLOT = struct.Struct("<HH")
+_SLOT_COUNT = struct.Struct("<H")
 
 HEADER_SIZE = _HEADER.size
 SLOT_SIZE = _SLOT.size
@@ -78,7 +90,7 @@ class SlottedPage:
 
     @property
     def slot_count(self) -> int:
-        return self._read_header()[0]
+        return _SLOT_COUNT.unpack_from(self.data, 0)[0]
 
     @property
     def live_records(self) -> int:
@@ -90,14 +102,35 @@ class SlottedPage:
     def _slot_pos(self, slot: int) -> int:
         return self.page_size - SLOT_SIZE * (slot + 1)
 
-    def _read_slot(self, slot: int) -> Tuple[int, int]:
-        slot_count = self.slot_count
+    def _read_slot(self, slot: int, slot_count: int = -1) -> Tuple[int, int]:
+        """``(offset, length)`` of ``slot``; pass ``slot_count`` when the
+        caller has already decoded the header."""
+        if slot_count < 0:
+            slot_count = _SLOT_COUNT.unpack_from(self.data, 0)[0]
         if not 0 <= slot < slot_count:
             raise StorageError(f"slot {slot} out of range (page has {slot_count})")
         return _SLOT.unpack_from(self.data, self._slot_pos(slot))
 
     def _write_slot(self, slot: int, offset: int, length: int) -> None:
         _SLOT.pack_into(self.data, self._slot_pos(slot), offset, length)
+
+    def _slots(self, slot_count: int) -> List[Tuple[int, int]]:
+        # Slicing copies the directory bytes, so no buffer export of
+        # ``data`` outlives the call.
+        slots = list(
+            _SLOT.iter_unpack(self.data[self.page_size - SLOT_SIZE * slot_count :])
+        )
+        slots.reverse()
+        return slots
+
+    def directory(self) -> List[Tuple[int, int]]:
+        """The whole slot directory, decoded in one pass.
+
+        Entry ``i`` is slot ``i``'s ``(offset, length)``; a length of 0
+        marks a dead slot.  Readers that walk a page (a run probe, a
+        scan) read the payloads in place from these offsets.
+        """
+        return self._slots(self.slot_count)
 
     # ------------------------------------------------------------------
     # record operations
@@ -119,34 +152,33 @@ class SlottedPage:
         compaction would make room (classic free-space management, cf.
         [14] in the paper).
         """
-        slot_count, _, _ = self._read_header()
-        live_bytes = sum(len(payload) for _, payload in self.records())
-        has_dead_slot = any(
-            self._read_slot(slot)[1] == 0 for slot in range(slot_count)
-        )
+        slot_count, _, live = self._read_header()
+        live_bytes = sum(length for _, length in self._slots(slot_count))
         directory_start = self.page_size - SLOT_SIZE * slot_count
         free = directory_start - HEADER_SIZE - live_bytes
-        if not has_dead_slot:
-            free -= SLOT_SIZE  # a new insert would need a new slot
+        if live == slot_count:
+            free -= SLOT_SIZE  # no dead slot: a new insert needs a new slot
         return max(0, free)
 
     def insert(self, record: bytes) -> int:
         """Insert ``record`` and return its slot number.
 
-        Reuses a tombstoned slot when one exists (keeping its number),
-        otherwise appends a new directory entry.
+        Reuses the first tombstoned slot when one exists (keeping its
+        number), otherwise appends a new directory entry.
         """
         if not record:
             raise StorageError("cannot insert an empty record")
         slot_count, free_start, live = self._read_header()
         directory_start = self.page_size - SLOT_SIZE * slot_count
-        # Find a dead slot to reuse; a reused slot costs no directory growth.
+        # A reused slot costs no directory growth.  Only a page with
+        # fewer live records than slots has one, so a page that never
+        # saw a delete is not scanned.
         reuse: Optional[int] = None
-        for slot in range(slot_count):
-            _, length = self._read_slot(slot)
-            if length == 0:
-                reuse = slot
-                break
+        if live < slot_count:
+            for slot, (_, length) in enumerate(self._slots(slot_count)):
+                if length == 0:
+                    reuse = slot
+                    break
         needed = len(record) + (0 if reuse is not None else SLOT_SIZE)
         if directory_start - free_start < needed:
             raise PageFullError(
@@ -173,7 +205,7 @@ class SlottedPage:
     def is_live(self, slot: int) -> bool:
         if not 0 <= slot < self.slot_count:
             return False
-        return self._read_slot(slot)[1] != 0
+        return _SLOT.unpack_from(self.data, self._slot_pos(slot))[1] != 0
 
     def replace(self, slot: int, record: bytes) -> bytes:
         """Overwrite a record in place (same length only).
@@ -195,18 +227,23 @@ class SlottedPage:
 
     def delete(self, slot: int) -> bytes:
         """Tombstone ``slot`` and return the old payload."""
-        record = self.read(slot)
         slot_count, free_start, live = self._read_header()
+        offset, length = self._read_slot(slot, slot_count)
+        if length == 0:
+            raise StorageError(f"slot {slot} is empty (deleted record)")
+        record = bytes(self.data[offset : offset + length])
         self._write_slot(slot, 0, 0)
         self._write_header(slot_count, free_start, live - 1)
         return record
 
-    def records(self) -> Iterator[Tuple[int, bytes]]:
-        """Yield ``(slot, payload)`` for every live record."""
-        for slot in range(self.slot_count):
-            offset, length = self._read_slot(slot)
-            if length:
-                yield slot, bytes(self.data[offset : offset + length])
+    def records(self) -> List[Tuple[int, bytes]]:
+        """``(slot, payload)`` for every live record, in slot order."""
+        data = self.data
+        return [
+            (slot, bytes(data[offset : offset + length]))
+            for slot, (offset, length) in enumerate(self.directory())
+            if length
+        ]
 
     def compact(self) -> None:
         """Reclaim payload space of deleted records.
@@ -214,23 +251,26 @@ class SlottedPage:
         Slot numbers (and therefore RIDs) are preserved; only payload
         offsets move.  Used by the bulk-delete reorganization pass.
         """
-        entries: List[Tuple[int, bytes]] = list(self.records())
         slot_count = self.slot_count
-        cursor = HEADER_SIZE
-        # Zero payload area first so stale bytes never linger.
         directory_start = self.page_size - SLOT_SIZE * slot_count
-        self.data[HEADER_SIZE:directory_start] = bytes(
-            directory_start - HEADER_SIZE
+        payloads = bytearray()
+        moved: List[Tuple[int, int]] = []
+        for offset, length in self._slots(slot_count):
+            if length:
+                moved.append((HEADER_SIZE + len(payloads), length))
+                payloads += self.data[offset : offset + length]
+            else:
+                moved.append((0, 0))
+        live = sum(1 for _, length in moved if length)
+        free_start = HEADER_SIZE + len(payloads)
+        # Zero the rest of the payload area so stale bytes never linger.
+        payloads += bytes(directory_start - free_start)
+        self.data[HEADER_SIZE:directory_start] = payloads
+        moved.reverse()
+        self.data[directory_start : self.page_size] = b"".join(
+            _SLOT.pack(offset, length) for offset, length in moved
         )
-        live = 0
-        for slot in range(slot_count):
-            self._write_slot(slot, 0, 0)
-        for slot, payload in entries:
-            self.data[cursor : cursor + len(payload)] = payload
-            self._write_slot(slot, cursor, len(payload))
-            cursor += len(payload)
-            live += 1
-        self._write_header(slot_count, cursor, live)
+        self._write_header(slot_count, free_start, live)
 
     def is_empty(self) -> bool:
         return self.live_records == 0

@@ -8,6 +8,8 @@ against a dict model, checking visibility after every step and
 byte-identical state across recovery.
 """
 
+import bisect
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -26,6 +28,7 @@ from repro.lsm.planning import RANGE_COMPILE_MIN, compile_tombstones
 from repro.lsm.sstable import build_run, run_get, run_iter
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import SimulatedDisk
+from repro.storage.page_formats import SlottedPage
 
 TINY = LsmConfig(
     memtable_entries=8,
@@ -95,6 +98,65 @@ def test_run_round_trip_and_fence_probe():
     assert pages == 1  # fence keys route the probe to one page
     miss, _ = run_get(pool, meta, 43)
     assert miss is None
+
+
+def probe_run():
+    """A three-page run on 512-byte pages: keys 0, 2, ..., 118, those
+    ending in 4 point tombstones."""
+    pool = make_pool()
+    file_id = pool.disk.create_file()
+    items = [
+        (k, k + 1000, None if k % 10 == 4 else f"v{k}".encode())
+        for k in range(0, 120, 2)
+    ]
+    meta = build_run(pool, file_id, run_id=1, level=1, items=items)
+    assert meta.data_pages == 3 and meta.fences[1] == 42
+    return pool, meta, items
+
+
+def entries_walked(meta, items, key):
+    """Entries a probe reads on its page: up to and including the first
+    key >= ``key``, or the whole page when there is none."""
+    page = bisect.bisect_right(meta.fences, key) - 1
+    hi = meta.fences[page + 1] if page + 1 < len(meta.fences) else None
+    keys = [k for k, _, _ in items if k >= meta.fences[page] and (hi is None or k < hi)]
+    return next((i + 1 for i, k in enumerate(keys) if k >= key), len(keys))
+
+
+@pytest.mark.parametrize(
+    "key, found",
+    [
+        (50, (1050, b"v50")),  # hit
+        (44, (1044, None)),  # hit on a point tombstone
+        (51, None),  # miss between two keys
+        (41, None),  # past the last entry of the first page
+        (500, None),  # past the last entry of the run
+        (42, (1042, b"v42")),  # equal to a fence
+    ],
+)
+def test_run_probe_charges_one_record_per_entry_walked(key, found):
+    pool, meta, items = probe_run()
+    reads, before = pool.disk.stats.reads, pool.disk.clock.now_ms
+    assert run_get(pool, meta, key) == (found, 1)
+    assert pool.disk.stats.reads == reads  # the run's pages are resident
+    charge = pool.disk.CPU_RECORD_MS * entries_walked(meta, items, key)
+    assert pool.disk.clock.now_ms == before + charge  # lint: allow(float-cost-eq): exact charge
+
+
+def test_run_probe_checks_the_kind_of_every_entry_walked():
+    pool, meta, items = probe_run()
+    with pool.pin(meta.page_ids[1]) as pinned:
+        offset, _ = SlottedPage(pinned.data).directory()[1]  # key 44
+        pinned.data[offset] = 7
+        pinned.mark_dirty()
+    before = pool.disk.clock.now_ms
+    with pytest.raises(StorageError, match="corrupt run entry kind 7"):
+        run_get(pool, meta, 50)
+    assert pool.disk.clock.now_ms == before  # lint: allow(float-cost-eq): nothing charged
+    # A probe that stops before the corrupt entry never reads it.
+    assert run_get(pool, meta, 42) == ((1042, b"v42"), 1)
+    with pytest.raises(StorageError, match="corrupt run entry kind 7"):
+        list(run_iter(pool, meta))
 
 
 def test_run_build_rejects_unsorted_keys():
